@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/search"
@@ -102,6 +103,38 @@ func TestCacheDataInvalidation(t *testing.T) {
 	}
 	if len(second.Tuples) != 2 { // Damian and Eva
 		t.Errorf("post-mutation answers = %v", second.Tuples)
+	}
+}
+
+// TestExtModelFollowsDataWrites: after ABox writes, gdl-ext costs a
+// fixed cover with the new statistics — exactly what a freshly built
+// model over the same database gives — not the load-time ones.
+func TestExtModelFollowsDataWrites(t *testing.T) {
+	a := answerer(t, engine.LayoutSimple, engine.ProfilePostgres())
+	q := query.MustParseCQ("q(x) <- PhDStudent(x)") // one atom: the cover is fixed
+	first, err := a.Answer(q, StrategyGDLExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"Eva", "Finn", "Gus", "Hal"} {
+		a.DB.AddConceptFact("PhDStudent", s)
+		a.DB.AddRoleFact("supervisedBy", s, "Ioana")
+	}
+	a.DB.Finalize()
+	second, err := a.Answer(q, StrategyGDLExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := second.Cover.ReformulateJUCQ(a.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := (&search.ExtEstimator{Model: cost.NewModel(a.DB)}).EstimateJUCQ(j)
+	if second.Search.Cost != fresh {
+		t.Errorf("gdl-ext cost after writes = %v, fresh model gives %v", second.Search.Cost, fresh)
+	}
+	if second.Search.Cost == first.Search.Cost {
+		t.Errorf("gdl-ext cost unchanged (%v) after writes", first.Search.Cost)
 	}
 }
 

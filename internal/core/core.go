@@ -148,14 +148,13 @@ func New(tb *dllite.TBox, db *engine.DB, prof *engine.Profile) *Answerer {
 }
 
 // InvalidateTBox must be called after swapping in a new TBox: it
-// rebuilds the reformulator's axiom indexes and the cost model, and
-// bumps the TBox version so cached plans and cover estimates from the
-// old ontology can no longer be served. ABox (data) mutations need no
-// call here — engine.DB bumps its own version on every mutation and
-// the cache keys include it.
+// rebuilds the reformulator's axiom indexes and bumps the TBox version
+// so cached plans and cover estimates from the old ontology can no
+// longer be served. ABox (data) mutations need no call here —
+// engine.DB bumps its own version on every mutation, the cache keys
+// include it, and the cost model reads the current statistics.
 func (a *Answerer) InvalidateTBox() {
 	a.Ref = reformulate.New(a.TBox)
-	a.Model = cost.NewModel(a.DB)
 	a.tboxVer.Add(1)
 	// Backends with their own caches (the shard backend's per-shard
 	// plan/result LRUs) key on the data version only — a TBox swap must

@@ -44,22 +44,21 @@ func DefaultConstants() Constants {
 	return Constants{Scan: 1, Probe: 1.5, Emit: 0.5, Dedup: 1.2, Mat: 3, Join: 1.5, Xfer: 2, RDFMul: float64(engine.DefaultRDFSlots)}
 }
 
-// Estimate is a (cost, cardinality) pair in abstract cost units.
-type Estimate struct {
-	Cost float64
-	Card float64
-}
+// Estimate is a (cost, cardinality) pair in abstract cost units — the
+// plan IR's estimate, so model figures feed plan-level callers as is.
+type Estimate = plan.Estimate
 
-// Model is the ε estimator bound to a database's statistics.
+// Model is the ε estimator bound to a database. Every estimate reads
+// the database's current statistics, so the model follows ABox writes
+// (the statistics are rebuilt after each mutation) without a rebuild.
 type Model struct {
-	Stats  *engine.Statistics
-	Layout engine.Layout
-	C      Constants
+	DB *engine.DB
+	C  Constants
 }
 
 // NewModel builds a model over the given database.
 func NewModel(db *engine.DB) *Model {
-	return &Model{Stats: db.Stats(), Layout: db.Layout, C: DefaultConstants()}
+	return &Model{DB: db, C: DefaultConstants()}
 }
 
 // ExchangeCost prices repartitioning rows through the shard backend's
@@ -72,7 +71,7 @@ func (m *Model) ExchangeCost(rows float64) float64 {
 }
 
 func (m *Model) accessMul() float64 {
-	if m.Layout == engine.LayoutRDF {
+	if m.DB.Layout == engine.LayoutRDF {
 		return m.C.RDFMul
 	}
 	return 1
@@ -80,16 +79,15 @@ func (m *Model) accessMul() float64 {
 
 // CQ estimates a conjunctive query: greedy smallest-relation-first join
 // order, independence across predicates, uniformity within attributes.
-func (m *Model) CQ(q query.CQ) Estimate {
+func (m *Model) CQ(q query.CQ) Estimate { return m.cq(q, m.DB.Stats()) }
+
+func (m *Model) cq(q query.CQ, st *engine.Statistics) Estimate {
 	n := len(q.Atoms)
 	used := make([]bool, n)
 	bound := map[string]bool{}
 	card, cost := 1.0, 0.0
 	mul := m.accessMul()
-	ent := float64(m.Stats.TotalEntities)
-	if ent < 1 {
-		ent = 1
-	}
+	ent := maxf(float64(st.TotalEntities), 1)
 	for picked := 0; picked < n; picked++ {
 		best := -1
 		var bOut, bCost float64
@@ -97,7 +95,7 @@ func (m *Model) CQ(q query.CQ) Estimate {
 			if used[i] {
 				continue
 			}
-			out, c := m.atomStep(q.Atoms[i], bound, card, ent, mul)
+			out, c := m.atomStep(st, q.Atoms[i], bound, card, ent, mul)
 			if best < 0 || out < bOut {
 				best, bOut, bCost = i, out, c
 			}
@@ -114,10 +112,10 @@ func (m *Model) CQ(q query.CQ) Estimate {
 	return Estimate{Cost: cost, Card: card}
 }
 
-func (m *Model) atomStep(a query.Atom, bound map[string]bool, in, ent, mul float64) (out, cost float64) {
+func (m *Model) atomStep(st *engine.Statistics, a query.Atom, bound map[string]bool, in, ent, mul float64) (out, cost float64) {
 	isBound := func(t query.Term) bool { return t.Const || bound[t.Name] }
 	if a.Arity() == 1 {
-		cardA := float64(m.Stats.CardConcept(a.Pred))
+		cardA := float64(st.CardConcept(a.Pred))
 		if isBound(a.Args[0]) {
 			out = in * cardA / ent
 			cost = in*m.C.Probe*mul + out*m.C.Emit
@@ -127,9 +125,9 @@ func (m *Model) atomStep(a query.Atom, bound map[string]bool, in, ent, mul float
 		cost = in*cardA*m.C.Scan*mul + out*m.C.Emit
 		return
 	}
-	cardR := float64(m.Stats.CardRole(a.Pred))
-	dS := maxf(float64(m.Stats.RoleDistS[a.Pred]), 1)
-	dO := maxf(float64(m.Stats.RoleDistO[a.Pred]), 1)
+	cardR := float64(st.CardRole(a.Pred))
+	dS := maxf(float64(st.RoleDistS[a.Pred]), 1)
+	dO := maxf(float64(st.RoleDistO[a.Pred]), 1)
 	sB, oB := isBound(a.Args[0]), isBound(a.Args[1])
 	sameVar := a.Args[0].IsVar() && a.Args[1].IsVar() && a.Args[0].Name == a.Args[1].Name
 	switch {
@@ -156,9 +154,10 @@ func (m *Model) atomStep(a query.Atom, bound map[string]bool, in, ent, mul float
 // UCQ estimates a union: the sum of the disjuncts plus DISTINCT. Every
 // arm is estimated — no sampling, regardless of size.
 func (m *Model) UCQ(u query.UCQ) Estimate {
+	st := m.DB.Stats()
 	var e Estimate
 	for _, d := range u.Disjuncts {
-		de := m.CQ(d)
+		de := m.cq(d, st)
 		e.Cost += de.Cost
 		e.Card += de.Card
 	}
@@ -169,11 +168,20 @@ func (m *Model) UCQ(u query.UCQ) Estimate {
 // JUCQ estimates the WITH-materialize-then-join shape: every fragment
 // is materialized with DISTINCT, then hash-joined.
 func (m *Model) JUCQ(j query.JUCQ) Estimate {
-	var frags []Estimate
+	frags := make([]Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = m.UCQ(sub)
+	}
+	return m.Cover(frags)
+}
+
+// Cover is the cover-join combine shared by JUCQ and JUSCQ (and by
+// cover search, which scores candidates from per-fragment UCQ
+// estimates): materialize every fragment, hash-join them linearly in
+// their sizes, and emit at most the smallest fragment's rows.
+func (m *Model) Cover(frags []Estimate) Estimate {
 	cost := 0.0
-	for _, sub := range j.Subs {
-		fe := m.UCQ(sub)
-		frags = append(frags, fe)
+	for _, fe := range frags {
 		cost += fe.Cost + fe.Card*m.C.Mat
 	}
 	card := 1.0
@@ -193,13 +201,15 @@ func (m *Model) JUCQ(j query.JUCQ) Estimate {
 }
 
 // SCQ estimates a factorized block query.
-func (m *Model) SCQ(s query.SCQ) Estimate {
+func (m *Model) SCQ(s query.SCQ) Estimate { return m.scq(s, m.DB.Stats()) }
+
+func (m *Model) scq(s query.SCQ, st *engine.Statistics) Estimate {
 	n := len(s.Blocks)
 	used := make([]bool, n)
 	bound := map[string]bool{}
 	card, cost := 1.0, 0.0
 	mul := m.accessMul()
-	ent := maxf(float64(m.Stats.TotalEntities), 1)
+	ent := maxf(float64(st.TotalEntities), 1)
 	for picked := 0; picked < n; picked++ {
 		best := -1
 		var bOut, bCost float64
@@ -209,7 +219,7 @@ func (m *Model) SCQ(s query.SCQ) Estimate {
 			}
 			var out, c float64
 			for _, a := range s.Blocks[i] {
-				o, cc := m.atomStep(a, bound, card, ent, mul)
+				o, cc := m.atomStep(st, a, bound, card, ent, mul)
 				out += o
 				c += cc
 			}
@@ -233,9 +243,10 @@ func (m *Model) SCQ(s query.SCQ) Estimate {
 
 // USCQ estimates a union of SCQs.
 func (m *Model) USCQ(u query.USCQ) Estimate {
+	st := m.DB.Stats()
 	var e Estimate
 	for _, s := range u.Disjuncts {
-		se := m.SCQ(s)
+		se := m.scq(s, st)
 		e.Cost += se.Cost
 		e.Card += se.Card
 	}
@@ -245,27 +256,11 @@ func (m *Model) USCQ(u query.USCQ) Estimate {
 
 // JUSCQ estimates the USCQ fragment join.
 func (m *Model) JUSCQ(j query.JUSCQ) Estimate {
-	var frags []Estimate
-	cost := 0.0
-	for _, sub := range j.Subs {
-		fe := m.USCQ(sub)
-		frags = append(frags, fe)
-		cost += fe.Cost + fe.Card*m.C.Mat
+	frags := make([]Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = m.USCQ(sub)
 	}
-	card := 1.0
-	minCard := -1.0
-	for _, fe := range frags {
-		card *= maxf(fe.Card, 1)
-		cost += fe.Card * m.C.Join
-		if minCard < 0 || fe.Card < minCard {
-			minCard = fe.Card
-		}
-	}
-	if minCard >= 0 && minCard < card {
-		card = minCard
-	}
-	cost += card * m.C.Emit
-	return Estimate{Cost: cost, Card: card}
+	return m.Cover(frags)
 }
 
 // Calibrate fits the model's time scale against the engine by running a
@@ -317,16 +312,14 @@ func (m *Model) Estimate(n *plan.Node) plan.Estimate {
 	if err != nil {
 		return plan.Estimate{Cost: math.Inf(1)}
 	}
-	var e Estimate
 	switch lo.Kind {
 	case plan.KindUCQ:
-		e = m.UCQ(lo.UCQ)
+		return m.UCQ(lo.UCQ)
 	case plan.KindUSCQ:
-		e = m.USCQ(lo.USCQ)
+		return m.USCQ(lo.USCQ)
 	case plan.KindJUCQ:
-		e = m.JUCQ(lo.JUCQ)
+		return m.JUCQ(lo.JUCQ)
 	default:
-		e = m.JUSCQ(lo.JUSCQ)
+		return m.JUSCQ(lo.JUSCQ)
 	}
-	return plan.Estimate{Cost: e.Cost, Card: e.Card}
 }

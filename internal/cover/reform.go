@@ -11,10 +11,17 @@ import (
 // 1 and 3, when the cover is in Lq or Gq the result is a FOL
 // reformulation of the query w.r.t. the TBox behind r.
 func (c Cover) ReformulateJUCQ(r *reformulate.Reformulator) (query.JUCQ, error) {
+	return c.ReformulateJUCQWith(r.Reformulate)
+}
+
+// ReformulateJUCQWith is ReformulateJUCQ with the fragment queries'
+// reformulation supplied by the caller, called once per fragment in
+// fragment order (cover search serves them from its fragment table).
+func (c Cover) ReformulateJUCQWith(reform func(query.CQ) (query.UCQ, error)) (query.JUCQ, error) {
 	j := query.JUCQ{Name: orName(c.Q.Name), Head: c.Q.Head}
 	for i := range c.Frags {
 		fq := c.FragmentQuery(i)
-		u, err := r.Reformulate(fq)
+		u, err := reform(fq)
 		if err != nil {
 			return query.JUCQ{}, err
 		}

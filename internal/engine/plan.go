@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -264,32 +265,40 @@ type JUCQPlan struct {
 // every fragment reformulation is materialized with DISTINCT; joining
 // the materialized results is left to hash joins ordered by size.
 func PlanJUCQ(j query.JUCQ, db *DB, prof *Profile) JUCQPlan {
-	jp := JUCQPlan{J: j}
-	cost := 0.0
-	for _, sub := range j.Subs {
-		up := PlanUCQ(sub, db, prof)
-		jp.Frags = append(jp.Frags, up)
-		cost += up.EstCost + up.EstCard*prof.CMat
+	jp := JUCQPlan{J: j, Frags: make([]UCQPlan, len(j.Subs))}
+	ests := make([]plan.Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		jp.Frags[i] = PlanUCQ(sub, db, prof)
+		ests[i] = plan.Estimate{Cost: jp.Frags[i].EstCost, Card: jp.Frags[i].EstCard}
 	}
-	// Join cost: linear in the inputs (hash join), pairwise smallest
-	// first; output estimated with the independence assumption.
-	card := 1.0
-	for _, f := range jp.Frags {
-		card *= maxf(f.EstCard, 1)
-	}
-	// crude containment: overall output cannot exceed the smallest input
-	for _, f := range jp.Frags {
-		if f.EstCard > 0 && f.EstCard < card {
-			card = f.EstCard
-		}
-	}
-	for _, f := range jp.Frags {
-		cost += f.EstCard * prof.CProbe
-	}
-	cost += card * prof.CEmit
-	jp.EstCard = card
-	jp.EstCost = cost
+	e := prof.CoverEstimate(ests)
+	jp.EstCard, jp.EstCost = e.Card, e.Cost
 	return jp
+}
+
+// CoverEstimate is the cover-join combine shared by PlanJUCQ and
+// PlanJUSCQ (and by cover search, which scores candidates from
+// per-fragment PlanUCQ figures): materialize every fragment, join the
+// results linearly in their sizes (hash joins, pairwise smallest
+// first), and estimate the output under the independence assumption,
+// capped by the smallest input (crude containment).
+func (p *Profile) CoverEstimate(frags []plan.Estimate) plan.Estimate {
+	cost := 0.0
+	for _, f := range frags {
+		cost += f.Cost + f.Card*p.CMat
+	}
+	card := 1.0
+	for _, f := range frags {
+		card *= maxf(f.Card, 1)
+	}
+	for _, f := range frags {
+		if f.Card > 0 && f.Card < card {
+			card = f.Card
+		}
+		cost += f.Card * p.CProbe
+	}
+	cost += card * p.CEmit
+	return plan.Estimate{Cost: cost, Card: card}
 }
 
 func maxf(a, b float64) float64 {

@@ -1,6 +1,9 @@
 package engine
 
-import "repro/internal/query"
+import (
+	"repro/internal/plan"
+	"repro/internal/query"
+)
 
 // SCQPlan orders the blocks of a semi-conjunctive query. Each step
 // unions the alternative atoms of one block — the factorized evaluation
@@ -102,26 +105,14 @@ type JUSCQPlan struct {
 
 // PlanJUSCQ mirrors PlanJUCQ for the USCQ dialect.
 func PlanJUSCQ(j query.JUSCQ, db *DB, prof *Profile) JUSCQPlan {
-	jp := JUSCQPlan{J: j}
-	cost := 0.0
-	for _, sub := range j.Subs {
-		up := PlanUSCQ(sub, db, prof)
-		jp.Frags = append(jp.Frags, up)
-		cost += up.EstCost + up.EstCard*prof.CMat
+	jp := JUSCQPlan{J: j, Frags: make([]USCQPlan, len(j.Subs))}
+	ests := make([]plan.Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		jp.Frags[i] = PlanUSCQ(sub, db, prof)
+		ests[i] = plan.Estimate{Cost: jp.Frags[i].EstCost, Card: jp.Frags[i].EstCard}
 	}
-	card := 1.0
-	for _, f := range jp.Frags {
-		card *= maxf(f.EstCard, 1)
-	}
-	for _, f := range jp.Frags {
-		if f.EstCard > 0 && f.EstCard < card {
-			card = f.EstCard
-		}
-		cost += f.EstCard * prof.CProbe
-	}
-	cost += card * prof.CEmit
-	jp.EstCard = card
-	jp.EstCost = cost
+	e := prof.CoverEstimate(ests)
+	jp.EstCard, jp.EstCost = e.Card, e.Cost
 	return jp
 }
 

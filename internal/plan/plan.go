@@ -252,36 +252,36 @@ func FromUSCQ(u query.USCQ) *Node {
 }
 
 // FromJUCQ lowers a cover reformulation: distinct over the projection
-// of the natural join of the fragment UCQ trees. A single-fragment
-// JUCQ collapses to its fragment's UCQ tree — there is nothing to
-// join, and backends evaluate the union directly (no materialization
-// step), exactly what executes.
+// of the natural join of the fragment UCQ trees (see CoverJoin).
 func FromJUCQ(j query.JUCQ) *Node {
-	if len(j.Subs) == 1 {
-		return FromUCQ(j.Subs[0])
-	}
 	frags := make([]*Node, len(j.Subs))
 	for i, sub := range j.Subs {
 		frags[i] = FromUCQ(sub)
 	}
-	return &Node{Op: OpDistinct, Name: j.Name, Inputs: []*Node{
-		{Op: OpProject, Head: j.Head, Name: j.Name, Inputs: []*Node{
-			{Op: OpJoin, Inputs: frags},
-		}},
-	}}
+	return CoverJoin(j.Name, j.Head, frags)
 }
 
 // FromJUSCQ is the factorized analogue of FromJUCQ.
 func FromJUSCQ(j query.JUSCQ) *Node {
-	if len(j.Subs) == 1 {
-		return FromUSCQ(j.Subs[0])
-	}
 	frags := make([]*Node, len(j.Subs))
 	for i, sub := range j.Subs {
 		frags[i] = FromUSCQ(sub)
 	}
-	return &Node{Op: OpDistinct, Name: j.Name, Inputs: []*Node{
-		{Op: OpProject, Head: j.Head, Name: j.Name, Inputs: []*Node{
+	return CoverJoin(j.Name, j.Head, frags)
+}
+
+// CoverJoin assembles a cover plan from its fragment subtrees:
+// distinct over the projection of head over the fragments' natural
+// join. A single fragment is the plan on its own — there is nothing to
+// join, and backends evaluate the union directly (no materialization
+// step), exactly what executes. Cover search builds each fragment's
+// subtree once and reassembles candidates through this function.
+func CoverJoin(name string, head []query.Term, frags []*Node) *Node {
+	if len(frags) == 1 {
+		return frags[0]
+	}
+	return &Node{Op: OpDistinct, Name: name, Inputs: []*Node{
+		{Op: OpProject, Head: head, Name: name, Inputs: []*Node{
 			{Op: OpJoin, Inputs: frags},
 		}},
 	}}

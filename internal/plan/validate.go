@@ -178,6 +178,14 @@ func validateCoverJoin(n *Node) error {
 		bodies[i] = map[string]bool{}
 		collectVars(in, bodies[i])
 	}
+	return CheckCoverJoin(heads, bodies)
+}
+
+// CheckCoverJoin is the fragment-join key rule on its own, over each
+// fragment's output (head) variables and every variable its subtree
+// mentions — what cover search checks from per-fragment variable sets
+// without assembling the cover's plan.
+func CheckCoverJoin(heads, bodies []map[string]bool) error {
 	for i, head := range heads {
 		for v := range head {
 			for k, body := range bodies {

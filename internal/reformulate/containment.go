@@ -50,7 +50,7 @@ func EquivalentUnderTBox(q1, q2 query.CQ, r *Reformulator) (bool, error) {
 // paper): the PerfectRef output with containment-redundant disjuncts
 // removed. Results are memoized separately from Reformulate.
 func (r *Reformulator) ReformulateMinimal(q query.CQ) (query.UCQ, error) {
-	key := "min//" + memoKey(q)
+	key := "min//" + Key(q)
 	if u, ok := r.memoGet(key); ok {
 		return u, nil
 	}

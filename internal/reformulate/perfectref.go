@@ -93,7 +93,7 @@ func New(t *dllite.TBox) *Reformulator {
 // fragments join on head variable names), so two isomorphic queries
 // with different variable names must not share a memo entry.
 func (r *Reformulator) Reformulate(q query.CQ) (query.UCQ, error) {
-	key := memoKey(q)
+	key := Key(q)
 	if u, ok := r.memoGet(key); ok {
 		return u, nil
 	}
@@ -105,10 +105,11 @@ func (r *Reformulator) Reformulate(q query.CQ) (query.UCQ, error) {
 	return u, nil
 }
 
-// memoKey renders head and body literally (variable names included)
-// but ignores the query name, so the same fragment produced by
-// different covers hits the same entry.
-func memoKey(q query.CQ) string {
+// Key renders head and body literally (variable names included) but
+// ignores the query name, so the same fragment produced by different
+// covers hits the same entry. It is the key Reformulate memoizes on,
+// exported for callers that keep per-fragment state alongside.
+func Key(q query.CQ) string {
 	var b strings.Builder
 	for _, h := range q.Head {
 		b.WriteString(h.String())

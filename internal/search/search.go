@@ -4,9 +4,27 @@
 // Both are parameterized by a cost estimator — either the engine
 // profiles' explain-style estimation ("RDBMS") or the external model of
 // package cost ("ext").
+//
+// Candidate covers differ from each other by one fragment, so each
+// search keeps a fragment table keyed by the literal fragment query
+// (reformulate.Key): the fragment's reformulated UCQ and, computed once
+// per search, what scoring needs of it. The ext and RDBMS estimators
+// are FragmentEstimators: their cost of a lowered cover plan is a sum
+// and product of per-fragment UCQ figures (cost.Model.Cover,
+// engine.Profile.CoverEstimate), and Extract(Rewrite(FromJUCQ(j)))
+// returns j's fragments unchanged, so combining cached fragment
+// estimates gives the whole-tree figure bit for bit, with no tree
+// built, rewritten, validated or extracted per candidate. The one
+// validation rule that spans fragments (plan.CheckCoverJoin) is checked
+// on cached per-fragment variable sets. Other estimators
+// (BackendEstimator over the sql or shard backend) still score whole
+// trees, assembled from fragment subtrees lowered once per search. The
+// executed plan is validated where it compiles (core and every
+// backend's Compile).
 package search
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -29,6 +47,81 @@ type Estimator interface {
 	Estimate(n *plan.Node) float64
 }
 
+// FragmentEstimator is an Estimator whose cost of a cover plan is a
+// function of per-fragment figures. The search estimates each distinct
+// fragment once and scores a candidate cover by combining its
+// fragments' figures; the result must equal Estimate on the cover's
+// lowered, rewritten plan exactly.
+type FragmentEstimator interface {
+	Estimator
+	// EstimateFragment scores one fragment's reformulated UCQ.
+	EstimateFragment(u query.UCQ) plan.Estimate
+	// EstimateCover scores the cover join of two or more fragments.
+	// valid reports whether the cover's plan passes the fragment-join
+	// key rule (plan.CheckCoverJoin): an estimator that validates the
+	// trees it scores must price an invalid cover as it would the tree.
+	EstimateCover(frags []plan.Estimate, valid bool) float64
+}
+
+// fragment is one fragment-table entry: the fragment query's
+// reformulation and what scoring needs of it — for a FragmentEstimator
+// its estimate and the variables its plan subtree outputs (head) and
+// mentions (vars), for any other estimator the rewritten subtree.
+type fragment struct {
+	ucq        query.UCQ
+	est        plan.Estimate
+	head, vars map[string]bool
+	tree       *plan.Node
+}
+
+// estimateFragment builds a FragmentEstimator's entry for a fragment.
+func estimateFragment(e FragmentEstimator, u query.UCQ) *fragment {
+	f := &fragment{ucq: u, est: e.EstimateFragment(u), head: map[string]bool{}, vars: map[string]bool{}}
+	for i, d := range u.Disjuncts {
+		for _, t := range d.Head {
+			if t.IsVar() {
+				f.vars[t.Name] = true
+				if i == 0 {
+					f.head[t.Name] = true
+				}
+			}
+		}
+		for _, a := range d.Atoms {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					f.vars[t.Name] = true
+				}
+			}
+		}
+	}
+	return f
+}
+
+// coverCost scores a cover from its fragments the way the lowered plan
+// is scored: a single fragment is the whole plan (plan.CoverJoin
+// collapses it), more pay the cover join.
+func coverCost(e FragmentEstimator, frags []*fragment) float64 {
+	if len(frags) == 1 {
+		return frags[0].est.Cost
+	}
+	ests := make([]plan.Estimate, len(frags))
+	heads := make([]map[string]bool, len(frags))
+	vars := make([]map[string]bool, len(frags))
+	for i, f := range frags {
+		ests[i], heads[i], vars[i] = f.est, f.head, f.vars
+	}
+	return e.EstimateCover(ests, plan.CheckCoverJoin(heads, vars) == nil)
+}
+
+// estimateJUCQ scores a JUCQ from its fragments, as the search does.
+func estimateJUCQ(e FragmentEstimator, j query.JUCQ) float64 {
+	frags := make([]*fragment, len(j.Subs))
+	for i, sub := range j.Subs {
+		frags[i] = estimateFragment(e, sub)
+	}
+	return coverCost(e, frags)
+}
+
 // RDBMSEstimator uses the engine's per-profile plan costing — the
 // paper's "explain through JDBC" option. It scores plans exactly as
 // the native execution backend does.
@@ -45,11 +138,25 @@ func (e *RDBMSEstimator) Estimate(n *plan.Node) float64 {
 	return engine.NewBackend(e.DB, e.Profile).Estimate(n).Cost
 }
 
-// EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
-// callers that have not built a plan tree).
-func (e *RDBMSEstimator) EstimateJUCQ(j query.JUCQ) float64 {
-	return e.Estimate(plan.FromJUCQ(j))
+// EstimateFragment plans the fragment's UCQ under the profile.
+func (e *RDBMSEstimator) EstimateFragment(u query.UCQ) plan.Estimate {
+	p := engine.PlanUCQ(u, e.DB, e.Profile)
+	return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
 }
+
+// EstimateCover applies the profile's cover-join combine. Like the
+// native backend's Estimate, it prices a plan that fails validation at
+// +Inf.
+func (e *RDBMSEstimator) EstimateCover(frags []plan.Estimate, valid bool) float64 {
+	if !valid {
+		return math.Inf(1)
+	}
+	return e.Profile.CoverEstimate(frags).Cost
+}
+
+// EstimateJUCQ scores a JUCQ without building a plan tree (for callers
+// that hold a JUCQ rather than a plan).
+func (e *RDBMSEstimator) EstimateJUCQ(j query.JUCQ) float64 { return estimateJUCQ(e, j) }
 
 // BackendEstimator scores plans through an execution backend's own
 // Estimate — GDL over the sql or shard backend then optimizes the
@@ -80,11 +187,18 @@ func (e *ExtEstimator) Estimate(n *plan.Node) float64 {
 	return e.Model.Estimate(n).Cost
 }
 
-// EstimateJUCQ scores a JUCQ by lowering it (compatibility shim for
-// callers that have not built a plan tree).
-func (e *ExtEstimator) EstimateJUCQ(j query.JUCQ) float64 {
-	return e.Estimate(plan.FromJUCQ(j))
+// EstimateFragment applies the UCQ formula to the fragment.
+func (e *ExtEstimator) EstimateFragment(u query.UCQ) plan.Estimate { return e.Model.UCQ(u) }
+
+// EstimateCover applies the model's cover-join combine. The model
+// scores any extractable tree, so validity does not enter.
+func (e *ExtEstimator) EstimateCover(frags []plan.Estimate, _ bool) float64 {
+	return e.Model.Cover(frags).Cost
 }
+
+// EstimateJUCQ scores a JUCQ without building a plan tree (for callers
+// that hold a JUCQ rather than a plan).
+func (e *ExtEstimator) EstimateJUCQ(j query.JUCQ) float64 { return estimateJUCQ(e, j) }
 
 // Result is the outcome of a cover search.
 type Result struct {
@@ -171,22 +285,52 @@ func (m *Memo) put(cover, est string, e memoEntry) {
 type evaluator struct {
 	ref   *reformulate.Reformulator
 	est   Estimator
+	fest  FragmentEstimator // est at fragment level; nil scores whole trees
 	memo  *Memo
 	scope string
 	seen  map[string]float64
 	jucqs map[string]query.JUCQ
+	frags map[string]*fragment // the fragment table, by reformulate.Key
 	lq    int
 	gq    int
 	err   error
 }
 
+// lowerFragment builds a fragment's plan subtree, exactly as it sits
+// in Rewrite(FromJUCQ(j)); a variable so tests can count lowerings.
+var lowerFragment = func(u query.UCQ) *plan.Node { return plan.Rewrite(plan.FromUCQ(u)) }
+
 func newEvaluator(ref *reformulate.Reformulator, est Estimator, memo *Memo, q query.CQ) *evaluator {
-	return &evaluator{ref: ref, est: est, memo: memo, scope: query.CanonicalKey(q) + ";",
-		seen: make(map[string]float64), jucqs: make(map[string]query.JUCQ)}
+	fest, _ := est.(FragmentEstimator)
+	return &evaluator{ref: ref, est: est, fest: fest, memo: memo, scope: query.CanonicalKey(q) + ";",
+		seen: make(map[string]float64), jucqs: make(map[string]query.JUCQ), frags: make(map[string]*fragment)}
 }
 
-// estimate returns the cover's cost, reformulating its fragments if the
-// cover has not been seen before (in this search or in the shared memo).
+// fragment returns the fragment query's table entry, reformulating and
+// estimating (or lowering) it on first sight.
+func (ev *evaluator) fragment(fq query.CQ) (*fragment, error) {
+	key := reformulate.Key(fq)
+	if f, ok := ev.frags[key]; ok {
+		return f, nil
+	}
+	u, err := ev.ref.Reformulate(fq)
+	if err != nil {
+		return nil, err
+	}
+	u.Name = fq.Name
+	var f *fragment
+	if ev.fest != nil {
+		f = estimateFragment(ev.fest, u)
+	} else {
+		f = &fragment{ucq: u, tree: lowerFragment(u)}
+	}
+	ev.frags[key] = f
+	return f, nil
+}
+
+// estimate returns the cover's cost, scoring it from the fragment table
+// if the cover has not been seen before (in this search or in the
+// shared memo).
 func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 	key := ev.scope + c.Key()
 	if v, ok := ev.seen[key]; ok {
@@ -199,14 +343,20 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 			return e.cost, true
 		}
 	}
-	j, err := c.ReformulateJUCQ(ev.ref)
+	frags := make([]*fragment, 0, len(c.Frags))
+	j, err := c.ReformulateJUCQWith(func(fq query.CQ) (query.UCQ, error) {
+		f, err := ev.fragment(fq)
+		if err != nil {
+			return query.UCQ{}, err
+		}
+		frags = append(frags, f)
+		return f.ucq, nil
+	})
 	if err != nil {
 		ev.err = err
 		return 0, false
 	}
-	// Score the rewritten tree — the exact shape core.Answerer hands
-	// the execution backend after its IR simplification pass.
-	v := ev.est.Estimate(plan.Rewrite(plan.FromJUCQ(j)))
+	v := ev.score(j, frags)
 	ev.seen[key] = v
 	ev.jucqs[key] = j
 	if ev.memo != nil {
@@ -218,6 +368,21 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 		ev.lq++
 	}
 	return v, true
+}
+
+// score costs a cover from its fragments' table entries: a
+// FragmentEstimator combines their estimates; any other estimator
+// scores the rewritten plan tree — the exact shape core.Answerer hands
+// the execution backend — reassembled from the cached subtrees.
+func (ev *evaluator) score(j query.JUCQ, frags []*fragment) float64 {
+	if ev.fest != nil {
+		return coverCost(ev.fest, frags)
+	}
+	trees := make([]*plan.Node, len(frags))
+	for i, f := range frags {
+		trees[i] = f.tree
+	}
+	return ev.est.Estimate(plan.CoverJoin(j.Name, j.Head, trees))
 }
 
 // GDL runs the greedy cover search of Algorithm 1: starting from Croot,

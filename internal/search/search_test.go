@@ -189,20 +189,97 @@ func TestEstimatorNames(t *testing.T) {
 	}
 }
 
+// TestGDLMemoizesCovers: a whole-tree estimator is called once per
+// distinct cover, on trees assembled from fragment subtrees lowered
+// once per distinct fragment.
 func TestGDLMemoizesCovers(t *testing.T) {
 	tb := dllite.MustParseTBox(runningTBox)
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(x, y), supervisedBy(z, y)")
 	db := buildDB(t, sampleData)
 	ref := reformulate.New(tb)
 	calls := 0
-	est := &countingEstimator{inner: &ExtEstimator{Model: cost.NewModel(db)}, calls: &calls}
-	res := GDL(q, tb, ref, est, Options{})
+	est := &countingEstimator{inner: &BackendEstimator{Backend: engine.NewBackend(db, engine.ProfilePostgres())}, calls: &calls}
+	lowered := countLowerings(t)
+	memo := NewMemo()
+	res := GDL(q, tb, ref, est, Options{Memo: memo})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if calls != res.ExploredLq+res.ExploredGq {
 		t.Errorf("estimator called %d times for %d distinct covers", calls, res.ExploredLq+res.ExploredGq)
 	}
+	if n := len(distinctFragments(memo)); *lowered != n {
+		t.Errorf("lowered %d fragment subtrees for %d distinct fragments", *lowered, n)
+	}
+}
+
+// TestGDLFragmentTable: the ext and RDBMS estimators score covers at
+// fragment level — each distinct fragment is estimated once per search,
+// and no plan tree is lowered, validated or extracted on the way.
+func TestGDLFragmentTable(t *testing.T) {
+	tb, qs, cfgs := identitySetup(t)
+	for _, cfg := range cfgs[:3] { // ext, Postgres, DB2 on the simple layout
+		for _, q := range qs {
+			if q.Name != "Q1" && q.Name != "Q9b" && q.Name != "Q10" {
+				continue
+			}
+			lowered := countLowerings(t)
+			est := &fragmentCounter{inner: cfg.est.(FragmentEstimator), frags: map[string]int{}}
+			memo := NewMemo()
+			res := GDL(q, tb, reformulate.New(tb), est, Options{Memo: memo})
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			for k, n := range est.frags {
+				if n != 1 {
+					t.Errorf("%s %s: fragment %s estimated %d times", cfg.name, q.Name, k, n)
+				}
+			}
+			if want := distinctFragments(memo); len(est.frags) != len(want) {
+				t.Errorf("%s %s: %d fragments estimated, %d distinct in the scored covers", cfg.name, q.Name, len(est.frags), len(want))
+			}
+			if est.trees != 0 || *lowered != 0 {
+				t.Errorf("%s %s: %d whole-tree estimates and %d fragment lowerings on the fragment path", cfg.name, q.Name, est.trees, *lowered)
+			}
+			if est.covers == 0 {
+				t.Errorf("%s %s: no multi-fragment cover scored", cfg.name, q.Name)
+			}
+		}
+	}
+}
+
+// countLowerings counts fragment-subtree lowerings until the test ends.
+func countLowerings(t *testing.T) *int {
+	n := new(int)
+	prev := lowerFragment
+	lowerFragment = func(u query.UCQ) *plan.Node {
+		*n++
+		return prev(u)
+	}
+	t.Cleanup(func() { lowerFragment = prev })
+	return n
+}
+
+// distinctFragments returns the distinct fragment UCQs of the covers a
+// memo holds, by ucqKey.
+func distinctFragments(m *Memo) map[string]bool {
+	out := map[string]bool{}
+	for _, e := range m.m {
+		for _, sub := range e.jucq.Subs {
+			out[ucqKey(sub)] = true
+		}
+	}
+	return out
+}
+
+// ucqKey renders a UCQ's disjuncts literally.
+func ucqKey(u query.UCQ) string {
+	var b strings.Builder
+	for _, d := range u.Disjuncts {
+		b.WriteString(reformulate.Key(d))
+		b.WriteByte('|')
+	}
+	return b.String()
 }
 
 type countingEstimator struct {
@@ -214,4 +291,27 @@ func (c *countingEstimator) Name() string { return c.inner.Name() }
 func (c *countingEstimator) Estimate(n *plan.Node) float64 {
 	*c.calls++
 	return c.inner.Estimate(n)
+}
+
+// fragmentCounter forwards every FragmentEstimator method, counting
+// fragment estimates per fragment, cover combines and whole-tree calls.
+type fragmentCounter struct {
+	inner  FragmentEstimator
+	frags  map[string]int
+	covers int
+	trees  int
+}
+
+func (c *fragmentCounter) Name() string { return c.inner.Name() }
+func (c *fragmentCounter) Estimate(n *plan.Node) float64 {
+	c.trees++
+	return c.inner.Estimate(n)
+}
+func (c *fragmentCounter) EstimateFragment(u query.UCQ) plan.Estimate {
+	c.frags[ucqKey(u)]++
+	return c.inner.EstimateFragment(u)
+}
+func (c *fragmentCounter) EstimateCover(frags []plan.Estimate, valid bool) float64 {
+	c.covers++
+	return c.inner.EstimateCover(frags, valid)
 }
