@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // the Postgres sampling shortcut, the RDF layout's column budget,
-// reformulation memoization, UCQ-vs-USCQ factorization, and the
-// materialized-view extension.
+// reformulation memoization, UCQ-vs-USCQ factorization, the SQL round
+// trip and the parallel union.
 package repro
 
 import (
@@ -11,12 +11,12 @@ import (
 	"repro/internal/cover"
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 	"repro/internal/search"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlgen"
-	"repro/internal/views"
 )
 
 // BenchmarkAblationSampling isolates the §6.3 estimation anomaly: GDL
@@ -108,44 +108,12 @@ func BenchmarkAblationFactorization(b *testing.B) {
 	uscq := query.FactorizeUCQ(ucq)
 	b.Run("ucq/160-arms", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			engine.EvaluateUCQ(ucq, env.DB, env.Profile)
+			runNative(b, env, plan.FromUCQ(ucq))
 		}
 	})
 	b.Run(fmt.Sprintf("uscq/%d-scqs", len(uscq.Disjuncts)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			engine.EvaluateUSCQ(uscq, env.DB, env.Profile)
-		}
-	})
-}
-
-// BenchmarkAblationViews measures the §7 future-work extension:
-// answering the A3–A6 star family with and without the materialized
-// fragment-view cache.
-func BenchmarkAblationViews(b *testing.B) {
-	env, _, _ := benchEnvs()
-	ref := reformulate.New(env.TBox)
-	stars := lubm.StarQueries()
-	b.Run("without-views", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range stars {
-				c := cover.RootCover(q, env.TBox)
-				j, err := c.ReformulateJUCQ(ref)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine.EvaluateJUCQ(j, env.DB, env.Profile)
-			}
-		}
-	})
-	b.Run("with-views", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mgr := views.NewManager(env.DB, env.Profile)
-			for _, q := range stars {
-				c := cover.RootCover(q, env.TBox)
-				if _, err := mgr.AnswerCover(c, ref); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runNative(b, env, plan.FromUSCQ(uscq))
 		}
 	})
 }
@@ -165,7 +133,7 @@ func BenchmarkAblationSQLPath(b *testing.B) {
 	sql := sqlgen.JUCQ(j, sqlgen.Options{Layout: engine.LayoutSimple})
 	b.Run("native", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			engine.EvaluateJUCQ(j, env.DB, env.Profile)
+			runNative(b, env, plan.FromJUCQ(j))
 		}
 	})
 	b.Run("sql-roundtrip", func(b *testing.B) {
@@ -184,45 +152,11 @@ func BenchmarkAblationParallelUnion(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
 	u := ref.MustReformulate(lubm.Queries()[8])
-	plan := engine.PlanUCQ(u, env.DB, env.Profile)
+	c := compileNative(b, env, plan.FromUCQ(u))
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				engine.Drain(engine.CompileUCQ(plan, env.DB, nil, workers))
-			}
-		})
-	}
-}
-
-// BenchmarkAblationExecPath compares the executors on UCQ
-// reformulations: the streaming batched operator pipeline (cold =
-// compile per execution, warm = compiled tree re-executed, the serving
-// mode) against the materialize-everything reference path. Run with
-// -benchmem to see the allocation gap the streaming model exists for.
-func BenchmarkAblationExecPath(b *testing.B) {
-	env, _, _ := benchEnvs()
-	ref := reformulate.New(env.TBox)
-	for _, qi := range []int{2, 8} { // Q3 (160 arms), Q9 (300 arms)
-		q := lubm.Queries()[qi]
-		plan := engine.PlanUCQ(ref.MustReformulate(q), env.DB, env.Profile)
-		b.Run(q.Name+"/streaming-cold", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecUCQ(plan, env.DB)
-			}
-		})
-		b.Run(q.Name+"/streaming-warm", func(b *testing.B) {
-			b.ReportAllocs()
-			op := engine.CompileUCQ(plan, env.DB, nil, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				engine.Drain(op)
-			}
-		})
-		b.Run(q.Name+"/materialized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				engine.ExecUCQMaterialized(plan, env.DB)
+				drainNative(c, workers)
 			}
 		})
 	}

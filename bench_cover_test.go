@@ -2,8 +2,8 @@
 // the materialize-every-fragment fold on multi-fragment covers
 // (BenchmarkCoverExec), and the answer cache against the full
 // reformulate-search-plan pipeline on repeated queries
-// (BenchmarkCoverCache). CI runs these once per push (-bench=Cover
-// -benchtime=1x); cmd/benchcover emits the same series as
+// (BenchmarkCoverCache). CI runs every root benchmark once per push
+// (-bench . -benchtime 1x); cmd/benchcover emits the same series as
 // BENCH_cover.json.
 package repro
 
@@ -41,17 +41,18 @@ func BenchmarkCoverExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan := engine.PlanJUCQ(j, env.DB, env.Profile)
+		jp := engine.PlanJUCQ(j, env.DB, env.Profile)
 		b.Run(q.Name+"/materialized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecJUCQMaterialized(plan, env.DB)
+				engine.ExecJUCQMaterialized(jp, env.DB)
 			}
 		})
+		compiled := compileNative(b, env, plan.FromJUCQ(j))
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/streaming-w%d", q.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				op := engine.CompileJUCQ(plan, env.DB, nil, workers)
+				op, _ := compiled.Tree(workers)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					engine.Drain(op)

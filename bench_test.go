@@ -25,6 +25,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 	"repro/internal/search"
@@ -236,24 +237,27 @@ func bindVar(q query.CQ, v, c string) query.CQ {
 }
 
 // BenchmarkExecutorPaths reports every UCQ evaluation path the engine
-// offers on the full workload: the streaming operator pipeline
-// (sequential and parallel union) and the materialize-everything
-// reference executor. Run with -benchmem to compare allocations.
+// offers on the full workload: the streaming operator pipeline (cold =
+// a fresh operator tree per execution, warm = one tree re-executed,
+// the serving mode; sequential and parallel union) and the
+// materialize-everything reference executor. Run with -benchmem to
+// compare allocations.
 func BenchmarkExecutorPaths(b *testing.B) {
 	env, _, _ := benchEnvs()
 	ref := reformulate.New(env.TBox)
 	for _, qi := range []int{1, 2, 8} { // Q2, Q3, Q9
 		q := lubm.Queries()[qi]
-		plan := engine.PlanUCQ(ref.MustReformulate(q), env.DB, env.Profile)
+		u := ref.MustReformulate(q)
+		c := compileNative(b, env, plan.FromUCQ(u))
 		b.Run(q.Name+"/streaming", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecUCQ(plan, env.DB)
+				drainNative(c, 1)
 			}
 		})
 		b.Run(q.Name+"/streaming-warm", func(b *testing.B) {
 			b.ReportAllocs()
-			op := engine.CompileUCQ(plan, env.DB, nil, 1)
+			op, _ := c.Tree(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				engine.Drain(op)
@@ -262,14 +266,41 @@ func BenchmarkExecutorPaths(b *testing.B) {
 		b.Run(q.Name+"/streaming-parallel", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.Drain(engine.CompileUCQ(plan, env.DB, nil, 4))
+				drainNative(c, 4)
 			}
 		})
+		up := engine.PlanUCQ(u, env.DB, env.Profile)
 		b.Run(q.Name+"/materialized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecUCQMaterialized(plan, env.DB)
+				engine.ExecUCQMaterialized(up, env.DB)
 			}
 		})
 	}
+}
+
+// compileNative compiles a plan on env's native backend.
+func compileNative(tb testing.TB, env *exp.Env, n *plan.Node) *engine.Compiled {
+	tb.Helper()
+	c, err := engine.NewBackend(env.DB, env.Profile).CompilePlan(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// drainNative drains one fresh operator tree of a compiled plan.
+func drainNative(c *engine.Compiled, workers int) *engine.Relation {
+	op, _ := c.Tree(workers)
+	return engine.Drain(op)
+}
+
+// runNative plans and runs n on env's native backend: the whole
+// compile-execute-decode path a query takes.
+func runNative(tb testing.TB, env *exp.Env, n *plan.Node) *plan.RunResult {
+	rr, err := compileNative(tb, env, n).Run(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rr
 }

@@ -258,17 +258,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchcover:", err)
 			os.Exit(1)
 		}
-		plan := engine.PlanJUCQ(j, env.DB, env.Profile)
+		jp := engine.PlanJUCQ(j, env.DB, env.Profile)
 		record(&entries, q.Name+"/materialized", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.ExecJUCQMaterialized(plan, env.DB)
+				engine.ExecJUCQMaterialized(jp, env.DB)
 			}
 		})
+		compiled, err := engine.NewBackend(env.DB, env.Profile).CompilePlan(plan.FromJUCQ(j))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcover:", err)
+			os.Exit(1)
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			record(&entries, fmt.Sprintf("%s/streaming-w%d", q.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				op := engine.CompileJUCQ(plan, env.DB, nil, workers)
+				op, _ := compiled.Tree(workers)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					engine.Drain(op)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 	"repro/internal/search"
@@ -64,7 +65,7 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 	est := &search.ExtEstimator{Model: env.A.Model}
 	for _, q := range lubm.Queries() {
 		u := ref.MustReformulate(q)
-		truth := tupleSet(engine.ExecUCQ(engine.PlanUCQ(u, env.DB, env.Profile), env.DB), env.DB)
+		truth := tupleSet(drainNative(compileNative(t, env, plan.FromUCQ(u)), 1), env.DB)
 
 		covers := map[string]cover.Cover{"croot": cover.RootCover(q, env.TBox)}
 		if sr := search.GDL(q, env.TBox, ref, est, search.Options{}); sr.Err == nil {
@@ -77,11 +78,11 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.Name, cname, err)
 			}
-			plan := engine.PlanJUCQ(j, env.DB, env.Profile)
-			mat := tupleSet(engine.ExecJUCQMaterialized(plan, env.DB), env.DB)
+			mat := tupleSet(engine.ExecJUCQMaterialized(engine.PlanJUCQ(j, env.DB, env.Profile), env.DB), env.DB)
 			requireSameAnswers(t, q.Name+"/"+cname+"/jucq-materialized", mat, truth)
+			compiled := compileNative(t, env, plan.FromJUCQ(j))
 			for _, workers := range []int{1, 4} {
-				got := tupleSet(engine.Drain(engine.CompileJUCQ(plan, env.DB, nil, workers)), env.DB)
+				got := tupleSet(drainNative(compiled, workers), env.DB)
 				requireSameAnswers(t, q.Name+"/"+cname+"/jucq-streaming", got, truth)
 			}
 
@@ -89,11 +90,11 @@ func TestCoverExecutionDifferentialLUBM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q.Name, cname, err)
 			}
-			splan := engine.PlanJUSCQ(js, env.DB, env.Profile)
-			smat := tupleSet(engine.ExecJUSCQMaterialized(splan, env.DB), env.DB)
+			smat := tupleSet(engine.ExecJUSCQMaterialized(engine.PlanJUSCQ(js, env.DB, env.Profile), env.DB), env.DB)
 			requireSameAnswers(t, q.Name+"/"+cname+"/juscq-materialized", smat, truth)
+			compiled = compileNative(t, env, plan.FromJUSCQ(js))
 			for _, workers := range []int{1, 4} {
-				got := tupleSet(engine.Drain(engine.CompileJUSCQ(splan, env.DB, nil, workers)), env.DB)
+				got := tupleSet(drainNative(compiled, workers), env.DB)
 				requireSameAnswers(t, q.Name+"/"+cname+"/juscq-streaming", got, truth)
 			}
 		}
@@ -133,16 +134,16 @@ func TestCoverExecutionEdgeCasesLUBM(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		plan := engine.PlanJUCQ(tc.j, env.DB, env.Profile)
-		want := tupleSet(engine.ExecJUCQMaterialized(plan, env.DB), env.DB)
+		want := tupleSet(engine.ExecJUCQMaterialized(engine.PlanJUCQ(tc.j, env.DB, env.Profile), env.DB), env.DB)
 		if tc.empty != (len(want) == 0) {
 			t.Fatalf("%s: materialized returned %d answers, empty=%v", tc.name, len(want), tc.empty)
 		}
 		if tc.name == "no-shared-variable" && len(want) == 0 {
 			t.Fatalf("%s: expected a non-empty cross product", tc.name)
 		}
+		compiled := compileNative(t, env, plan.FromJUCQ(tc.j))
 		for _, workers := range []int{1, 4} {
-			got := tupleSet(engine.Drain(engine.CompileJUCQ(plan, env.DB, nil, workers)), env.DB)
+			got := tupleSet(drainNative(compiled, workers), env.DB)
 			requireSameAnswers(t, tc.name, got, want)
 		}
 	}

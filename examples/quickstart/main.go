@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dllite"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -58,7 +59,14 @@ supervisedBy(Damian, Francois)
 	db.LoadABox(abox)
 
 	// Plain evaluation ignores the constraints: no answers.
-	plain := engine.EvaluateCQ(q, db, engine.ProfilePostgres())
+	exec, err := engine.NewBackend(db, engine.ProfilePostgres()).Compile(plan.FromUCQ(query.UCQ{Disjuncts: []query.CQ{q}}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	plain, err := exec.Run(1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("plain evaluation: %d answers\n", len(plain.Tuples))
 
 	// Query answering via FOL reformulation: {Damian}, under every

@@ -131,6 +131,58 @@ func TestSearchCostMatchesExecutedEstimate(t *testing.T) {
 	}
 }
 
+// TestNativeEstimateMatchesPlanners: the native backend's estimate of
+// every executed plan is bit-identical to the dialect planners' figure
+// for the same plan extracted back into its dialect — compiling the IR
+// directly changes no cost and therefore no chosen cover.
+func TestNativeEstimateMatchesPlanners(t *testing.T) {
+	a := lubmAnswerer(t)
+	native := engine.NewBackend(a.DB, a.Profile)
+	strategies := []Strategy{StrategyUCQ, StrategyUCQMin, StrategyUSCQ, StrategyCroot, StrategyGDLRDBMS, StrategyGDLExt}
+	for _, q := range lubm.Queries() {
+		for _, s := range strategies {
+			res, err := a.Answer(q, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", q.Name, s, err)
+			}
+			want := plannerEstimate(t, a, res.Plan)
+			exec, err := native.Compile(res.Plan)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", q.Name, s, err)
+			}
+			if got := exec.Estimate(); got != want {
+				t.Errorf("%s/%s: native estimate %+v, planners %+v", q.Name, s, got, want)
+			}
+			if got := native.Estimate(res.Plan); got != want {
+				t.Errorf("%s/%s: native Estimate %+v, planners %+v", q.Name, s, got, want)
+			}
+		}
+	}
+}
+
+// plannerEstimate plans the dialect query the tree extracts into.
+func plannerEstimate(t *testing.T, a *Answerer, n *plan.Node) plan.Estimate {
+	t.Helper()
+	lo, err := plan.Extract(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch lo.Kind {
+	case plan.KindUCQ:
+		p := engine.PlanUCQ(lo.UCQ, a.DB, a.Profile)
+		return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
+	case plan.KindUSCQ:
+		p := engine.PlanUSCQ(lo.USCQ, a.DB, a.Profile)
+		return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
+	case plan.KindJUCQ:
+		p := engine.PlanJUCQ(lo.JUCQ, a.DB, a.Profile)
+		return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
+	default:
+		p := engine.PlanJUSCQ(lo.JUSCQ, a.DB, a.Profile)
+		return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
+	}
+}
+
 // TestExplainEveryStrategy: each strategy's Result carries an EXPLAIN
 // that survives a JSON round trip with estimated figures and the actual
 // root row count of the run.

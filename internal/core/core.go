@@ -434,7 +434,14 @@ func (a *Answerer) CheckConsistency() ([]Violation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ans := engine.EvaluateUCQ(u, a.DB, a.Profile)
+		exec, err := engine.NewBackend(a.DB, a.Profile).Compile(plan.FromUCQ(u))
+		if err != nil {
+			return nil, err
+		}
+		ans, err := exec.Run(1)
+		if err != nil {
+			return nil, err
+		}
 		if len(ans.Tuples) > 0 {
 			w := ans.Tuples[0][:arity]
 			out = append(out, Violation{Axiom: ax, Witness: w})

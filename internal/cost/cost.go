@@ -275,11 +275,14 @@ func (m *Model) Calibrate(db *engine.DB, prof *engine.Profile, probes []query.CQ
 	if len(probes) == 0 {
 		return 0
 	}
+	native := engine.NewBackend(db, prof)
 	var estSum, secSum float64
 	for _, q := range probes {
 		est := m.CQ(q)
 		start := time.Now()
-		engine.EvaluateCQ(q, db, prof)
+		if exec, err := native.Compile(plan.FromUCQ(query.UCQ{Name: q.Name, Disjuncts: []query.CQ{q}})); err == nil {
+			exec.Run(1)
+		}
 		secSum += time.Since(start).Seconds()
 		estSum += est.Cost
 	}

@@ -1,25 +1,102 @@
 package engine
 
-// Compilation of planned queries into streaming operator trees
-// (operator.go). The pipeline row layout of one CQ/SCQ is the set of
-// its variables in order of first use, exactly as the materializing
-// executor laid them out; each plan step becomes a scan (first unbound
-// atom), a filter (fully bound atom), or an index-nested-loop join.
+// Construction of one run's streaming operator tree (operator.go)
+// from a compiled plan (backend.go). An arm pipeline's row layout is
+// the set of its variables in order of first use along the planned
+// steps, exactly as the materializing executor lays them out; each
+// step — one block of alternative atoms, a single atom for a CQ —
+// becomes a scan (first unbound atom), a filter (fully bound atom), or
+// an index-nested-loop join whose alternatives union per input row.
 
 import (
 	"sort"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
-// pipelineLayout assigns every variable of the atom sequence a column,
-// in order of first use.
-func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
+// run builds one operator tree and records, per IR node, the operator
+// that implements it and the estimate frozen for it.
+type run struct {
+	db    *DB
+	prof  *Profile
+	binds []binding
+}
+
+type binding struct {
+	ir               *plan.Node
+	estRows, estCost float64
+	op               Operator
+}
+
+func (r *run) bind(ir *plan.Node, estRows, estCost float64, op Operator) {
+	r.binds = append(r.binds, binding{ir: ir, estRows: estRows, estCost: estCost, op: op})
+}
+
+// annotate writes every recorded operator's row counter and estimate
+// into the EXPLAIN node of its IR node.
+func (r *run) annotate(at map[*plan.Node]*plan.ExplainNode) {
+	for _, b := range r.binds {
+		if e := at[b.ir]; e != nil {
+			e.EstRows, e.EstCost, e.ActualRows = b.estRows, b.estCost, b.op.Stats().Rows
+		}
+	}
+}
+
+// build instantiates the operators of one compiled node. Multi-arm
+// unions run on the parallel union when workers > 1; a cover splits
+// the budget between its fragments and the hash join's build drain.
+func (r *run) build(c *node, workers int) Operator {
+	var op Operator
+	switch c.ir.Op {
+	case plan.OpExchange:
+		return r.build(c.kids[0], workers)
+	case plan.OpDistinct:
+		op = newDistinct(r.build(c.kids[0], workers))
+	case plan.OpUnion:
+		arms := make([]Operator, len(c.kids))
+		for i, k := range c.kids {
+			arms[i] = r.build(k, workers)
+		}
+		if workers > 1 && len(arms) > 1 {
+			op = NewUnionParallel(arms[0].Schema(), arms, workers)
+		} else {
+			op = newUnion(arms[0].Schema(), arms)
+		}
+		r.bind(c.ir, plan.UnknownRows, plan.UnknownRows, op)
+		return op
+	default: // OpProject
+		if !isCover(c) {
+			return r.buildArm(c)
+		}
+		per := coverWorkerSplit(workers, len(c.kids))
+		frags := make([]Operator, len(c.kids))
+		for i, k := range c.kids {
+			frags[i] = r.build(k, per)
+		}
+		hj := NewHashJoin(frags, c.probe, c.builds, workers)
+		r.bind(c.ir.Inputs[0], plan.UnknownRows, plan.UnknownRows, hj)
+		op = NewProjectNamed(hj, c.ir.Head, r.db)
+		r.bind(c.ir, c.est.Card, plan.UnknownRows, op)
+		return op
+	}
+	r.bind(c.ir, c.est.Card, c.est.Cost, op)
+	return op
+}
+
+// buildArm builds one arm pipeline: source → (filter|join)* → project,
+// duplicates preserved. Each step's operator is recorded against its
+// Access leaf; a body Join/SemiJoin observes the rows flowing into the
+// projection.
+func (r *run) buildArm(c *node) Operator {
 	colOf := map[string]int{}
 	var cols []string
-	for _, args := range atomSeq {
-		for _, t := range args {
-			if t.IsVar() {
+	for _, s := range c.steps {
+		for _, a := range c.leaves[s.Atom].Atoms {
+			for _, t := range a.Args {
+				if !t.IsVar() {
+					continue
+				}
 				if _, ok := colOf[t.Name]; !ok {
 					colOf[t.Name] = len(cols)
 					cols = append(cols, t.Name)
@@ -27,7 +104,30 @@ func pipelineLayout(atomSeq [][]query.Term) (map[string]int, []string) {
 			}
 		}
 	}
-	return colOf, cols
+	bound := make([]bool, len(cols))
+	var cur Operator
+	for _, s := range c.steps {
+		block := c.leaves[s.Atom].Atoms
+		alts := make([]*atomJoin, len(block))
+		for i, a := range block {
+			alts[i] = newAtomJoin(a, accessOf(a, colOf, bound), colOf, bound, r.db)
+		}
+		cur = compileStep(cur, cols, alts, r.prof)
+		r.bind(c.leaves[s.Atom], s.EstOut, s.EstCost, cur)
+		for _, a := range block { // the step binds its variables
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[colOf[t.Name]] = true
+				}
+			}
+		}
+	}
+	if body := c.ir.Inputs[0]; body.Op == plan.OpJoin || body.Op == plan.OpSemiJoin {
+		r.bind(body, c.steps[len(c.steps)-1].EstOut, plan.UnknownRows, cur)
+	}
+	op := compileProject(cur, c.ir.Head, colOf, r.db)
+	r.bind(c.ir, c.est.Card, c.est.Cost, op)
+	return op
 }
 
 // newAtomJoin compiles one atom against the current layout and bound
@@ -78,15 +178,6 @@ func accessOf(a query.Atom, colOf map[string]int, bound []bool) StepAccess {
 	}
 }
 
-// markBound records an atom's variables as bound after its step runs.
-func markBound(a query.Atom, colOf map[string]int, bound []bool) {
-	for _, t := range a.Args {
-		if t.IsVar() {
-			bound[colOf[t.Name]] = true
-		}
-	}
-}
-
 // compileStep appends one plan step to the pipeline: the first wholly
 // unbound atom becomes a source scan; fully bound atoms become
 // filters; everything else an index-nested-loop join.
@@ -128,104 +219,11 @@ func compileProject(cur Operator, head []query.Term, colOf map[string]int, db *D
 	return newProject(cur, headSchema(head), srcCols, consts, dead)
 }
 
-// CompileCQ builds the streaming operator tree of a planned CQ:
-// source → (filter|join)* → project. Duplicates are preserved, like
-// ExecCQ. prof (optional, may be nil) receives per-operator cardinality
-// feedback through prof.Feedback when executions close.
-func CompileCQ(plan CQPlan, db *DB, prof *Profile) Operator {
-	q := plan.Q
-	seq := make([][]query.Term, len(plan.Steps))
-	for i, s := range plan.Steps {
-		seq[i] = q.Atoms[s.Atom].Args
-	}
-	colOf, cols := pipelineLayout(seq)
-	bound := make([]bool, len(cols))
-	var cur Operator
-	for _, s := range plan.Steps {
-		a := q.Atoms[s.Atom]
-		j := newAtomJoin(a, s.Access, colOf, bound, db)
-		cur = compileStep(cur, cols, []*atomJoin{j}, prof)
-		markBound(a, colOf, bound)
-	}
-	if cur == nil {
-		cur = newSingleton(cols)
-	}
-	return compileProject(cur, q.Head, colOf, db)
-}
-
-// CompileUCQ builds the UCQ tree: distinct over the union of the arm
-// pipelines. With workers > 1 and more than one arm, the union is the
-// parallel operator that spreads arms over worker goroutines.
-func CompileUCQ(plan UCQPlan, db *DB, prof *Profile, workers int) Operator {
-	schema := headSchema(plan.U.Head())
-	arms := make([]Operator, len(plan.Plans))
-	for i := range plan.Plans {
-		arms[i] = CompileCQ(plan.Plans[i], db, prof)
-	}
-	var u Operator
-	if workers > 1 && len(arms) > 1 {
-		u = NewUnionParallel(schema, arms, workers)
-	} else {
-		u = newUnion(schema, arms)
-	}
-	return newDistinct(u)
-}
-
-// CompileSCQ builds the streaming tree of a planned semi-conjunctive
-// query: each block becomes one join whose alternatives are the block's
-// atoms (their matches are unioned per input row — the factorized
-// evaluation). Duplicates are preserved, like ExecSCQ.
-func CompileSCQ(plan SCQPlan, db *DB, prof *Profile) Operator {
-	s := plan.S
-	var seq [][]query.Term
-	for _, block := range s.Blocks {
-		for _, a := range block {
-			seq = append(seq, a.Args)
-		}
-	}
-	colOf, cols := pipelineLayout(seq)
-	bound := make([]bool, len(cols))
-	var cur Operator
-	for _, bi := range plan.Order {
-		block := s.Blocks[bi]
-		alts := make([]*atomJoin, len(block))
-		for i, a := range block {
-			alts[i] = newAtomJoin(a, accessOf(a, colOf, bound), colOf, bound, db)
-		}
-		cur = compileStep(cur, cols, alts, prof)
-		for _, a := range block {
-			markBound(a, colOf, bound)
-		}
-	}
-	if cur == nil {
-		cur = newSingleton(cols)
-	}
-	return compileProject(cur, s.Head, colOf, db)
-}
-
-// CompileUSCQ builds distinct over the union of the SCQ pipelines,
-// parallel across disjuncts when workers > 1.
-func CompileUSCQ(plan USCQPlan, db *DB, prof *Profile, workers int) Operator {
-	var schema []string
-	if len(plan.Plans) > 0 {
-		schema = headSchema(plan.Plans[0].S.Head)
-	}
-	arms := make([]Operator, len(plan.Plans))
-	for i := range plan.Plans {
-		arms[i] = CompileSCQ(plan.Plans[i], db, prof)
-	}
-	var u Operator
-	if workers > 1 && len(arms) > 1 {
-		u = NewUnionParallel(schema, arms, workers)
-	} else {
-		u = newUnion(schema, arms)
-	}
-	return newDistinct(u)
-}
-
-// compileProjectNamed projects a pipeline whose schema already names
-// its columns (a fragment join) onto the overall query head.
-func compileProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
+// NewProjectNamed projects a pipeline whose schema already names its
+// columns (a fragment join) onto the overall query head — exported for
+// composing backends (internal/shard) that assemble their own fragment
+// joins.
+func NewProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
 	colOf := map[string]int{}
 	for i, v := range cur.Schema() {
 		if _, ok := colOf[v]; !ok {
@@ -235,25 +233,13 @@ func compileProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
 	return compileProject(cur, head, colOf, db)
 }
 
-// NewProjectNamed is the exported form of compileProjectNamed for
-// composing backends (internal/shard) that assemble their own fragment
-// joins and need the head projection above them.
-func NewProjectNamed(cur Operator, head []query.Term, db *DB) Operator {
-	return compileProjectNamed(cur, head, db)
-}
-
-// CoverJoinOrder is the exported form of coverJoinOrder for composing
-// backends that must fix one global join order across shards.
-func CoverJoinOrder(ests []float64) (probe int, builds []int) {
-	return coverJoinOrder(ests)
-}
-
-// coverJoinOrder picks the fragment join order from the plan's
+// CoverJoinOrder picks the fragment join order from the plan's
 // estimated fragment cardinalities: the largest fragment drives the
 // streaming probe pass, the others become build tables loaded
 // smallest-first (cheapest hash tables early, so an empty build side
-// short-circuits as soon as possible).
-func coverJoinOrder(ests []float64) (probe int, builds []int) {
+// short-circuits as soon as possible). Composing backends use it to
+// fix one global join order across shards.
+func CoverJoinOrder(ests []float64) (probe int, builds []int) {
 	probe = 0
 	for i, e := range ests {
 		if e > ests[probe] {
@@ -284,52 +270,4 @@ func coverWorkerSplit(workers, frags int) int {
 		per = 1
 	}
 	return per
-}
-
-// CompileJUCQ builds the end-to-end streaming tree of a planned JUCQ
-// cover: per-fragment pipelines (scan → … → union → distinct, the WITH
-// … DISTINCT clauses of Section 3) feed the streaming hash join, whose
-// output is projected onto the overall head and deduplicated. No
-// fragment is materialized as a Relation; workers bounds the goroutines
-// of the build drain and the fragments' parallel unions together.
-func CompileJUCQ(plan JUCQPlan, db *DB, prof *Profile, workers int) Operator {
-	head := plan.J.Head
-	if len(plan.Frags) == 0 {
-		return newUnion(headSchema(head), nil)
-	}
-	perFrag := coverWorkerSplit(workers, len(plan.Frags))
-	frags := make([]Operator, len(plan.Frags))
-	ests := make([]float64, len(plan.Frags))
-	for i := range plan.Frags {
-		frags[i] = CompileUCQ(plan.Frags[i], db, prof, perFrag)
-		ests[i] = plan.Frags[i].EstCard
-	}
-	if len(frags) == 1 {
-		return newDistinct(compileProjectNamed(frags[0], head, db))
-	}
-	probe, builds := coverJoinOrder(ests)
-	hj := NewHashJoin(frags, probe, builds, workers)
-	return newDistinct(compileProjectNamed(hj, head, db))
-}
-
-// CompileJUSCQ is the JUSCQ analogue of CompileJUCQ: factorized USCQ
-// fragment pipelines feeding the streaming hash join.
-func CompileJUSCQ(plan JUSCQPlan, db *DB, prof *Profile, workers int) Operator {
-	head := plan.J.Head
-	if len(plan.Frags) == 0 {
-		return newUnion(headSchema(head), nil)
-	}
-	perFrag := coverWorkerSplit(workers, len(plan.Frags))
-	frags := make([]Operator, len(plan.Frags))
-	ests := make([]float64, len(plan.Frags))
-	for i := range plan.Frags {
-		frags[i] = CompileUSCQ(plan.Frags[i], db, prof, perFrag)
-		ests[i] = plan.Frags[i].EstCard
-	}
-	if len(frags) == 1 {
-		return newDistinct(compileProjectNamed(frags[0], head, db))
-	}
-	probe, builds := coverJoinOrder(ests)
-	hj := NewHashJoin(frags, probe, builds, workers)
-	return newDistinct(compileProjectNamed(hj, head, db))
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dllite"
 	"repro/internal/naive"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
 )
@@ -78,9 +79,9 @@ func TestBasicEvaluationBothLayouts(t *testing.T) {
 			t.Fatalf("%v: facts = %d", layout, db.NumFacts())
 		}
 		q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y), Researcher(y)")
-		ans := EvaluateCQ(q, db, ProfilePostgres())
-		if len(ans.Tuples) != 1 || ans.Tuples[0][0] != "Damian" {
-			t.Fatalf("%v: answer = %v", layout, ans.Tuples)
+		ans := answerCQ(t, db, ProfilePostgres(), q)
+		if len(ans) != 1 || ans[0][0] != "Damian" {
+			t.Fatalf("%v: answer = %v", layout, ans)
 		}
 	}
 }
@@ -89,28 +90,28 @@ func TestConstantsAndMissingTables(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	// Constant present.
 	q := query.MustParseCQ("q(x) <- supervisedBy(x, 'Ioana')")
-	ans := EvaluateCQ(q, db, ProfilePostgres())
-	if len(ans.Tuples) != 1 || ans.Tuples[0][0] != "Damian" {
-		t.Fatalf("answer = %v", ans.Tuples)
+	ans := answerCQ(t, db, ProfilePostgres(), q)
+	if len(ans) != 1 || ans[0][0] != "Damian" {
+		t.Fatalf("answer = %v", ans)
 	}
 	// Constant absent from the data: empty result, no panic.
 	q = query.MustParseCQ("q(x) <- supervisedBy(x, 'Nobody')")
-	if ans := EvaluateCQ(q, db, ProfilePostgres()); len(ans.Tuples) != 0 {
-		t.Fatalf("expected empty, got %v", ans.Tuples)
+	if ans := answerCQ(t, db, ProfilePostgres(), q); len(ans) != 0 {
+		t.Fatalf("expected empty, got %v", ans)
 	}
 	// Unknown table: empty result.
 	q = query.MustParseCQ("q(x) <- Unicorn(x)")
-	if ans := EvaluateCQ(q, db, ProfilePostgres()); len(ans.Tuples) != 0 {
-		t.Fatalf("expected empty, got %v", ans.Tuples)
+	if ans := answerCQ(t, db, ProfilePostgres(), q); len(ans) != 0 {
+		t.Fatalf("expected empty, got %v", ans)
 	}
 }
 
 func TestRepeatedVariableAtom(t *testing.T) {
 	db := loadDB(t, LayoutSimple, "R(a, a)\nR(a, b)\nR(b, b)")
 	q := query.MustParseCQ("q(x) <- R(x, x)")
-	ans := EvaluateCQ(q, db, ProfilePostgres())
-	if len(ans.Tuples) != 2 {
-		t.Fatalf("diagonal answer = %v", ans.Tuples)
+	ans := answerCQ(t, db, ProfilePostgres(), q)
+	if len(ans) != 2 {
+		t.Fatalf("diagonal answer = %v", ans)
 	}
 }
 
@@ -196,8 +197,7 @@ func TestPropEngineMatchesNaiveCQ(t *testing.T) {
 			for _, prof := range []*Profile{ProfilePostgres(), ProfileDB2()} {
 				db := NewDB(layout)
 				db.LoadABox(ab)
-				p := PlanCQ(q, db, prof)
-				rel := ExecCQ(p, db)
+				rel := drainPlan(t, db, prof, plan.FromCQ(q), 1)
 				rel.Distinct()
 				if !sameSets(relToSet(rel, db.Dict), want) {
 					t.Logf("seed=%d layout=%v prof=%s q=%v", seed, layout, prof.Name, q)
@@ -246,9 +246,9 @@ exists supervisedBy <= PhDStudent
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := NewDB(layout)
 			db.LoadABox(ab)
-			ans := EvaluateJUCQ(j, db, ProfileDB2())
-			got := make(map[string]bool, len(ans.Tuples))
-			for _, tu := range ans.Tuples {
+			ans := answer(t, db, ProfileDB2(), plan.FromJUCQ(j))
+			got := make(map[string]bool, len(ans))
+			for _, tu := range ans {
 				got[strings.Join(tu, "\x00")] = true
 			}
 			if !sameSets(got, want) {
@@ -280,10 +280,9 @@ func TestPropSCQMatchesExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		p := PlanSCQ(s, db, ProfilePostgres())
-		got := ExecSCQ(p, db)
+		got := drainPlan(t, db, ProfilePostgres(), plan.FromSCQ(s), 1)
 		got.Distinct()
-		wantRel := ExecUCQ(PlanUCQ(s.Expand(), db, ProfilePostgres()), db)
+		wantRel := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(s.Expand()), 1)
 		if !sameSets(relToSet(got, db.Dict), relToSet(wantRel, db.Dict)) {
 			t.Logf("seed=%d", seed)
 			return false
@@ -354,7 +353,7 @@ func TestPlanChoosesIndexAccess(t *testing.T) {
 		t.Errorf("second step should be index-fwd, got %v", p.Steps[1].Access)
 	}
 	// Executing matches expectation.
-	rel := ExecCQ(p, db)
+	rel := drainPlan(t, db, ProfilePostgres(), plan.FromCQ(q), 1)
 	rel.Distinct()
 	if len(rel.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rel.Rows))
@@ -392,10 +391,10 @@ func TestRDFLayoutCostsMore(t *testing.T) {
 		t.Errorf("RDF layout must be estimated costlier: %.1f vs %.1f", pR.EstCost, pS.EstCost)
 	}
 	// Same answers on both layouts.
-	a1 := EvaluateCQ(q, simple, ProfileDB2())
-	a2 := EvaluateCQ(q, rdf, ProfileDB2())
-	if len(a1.Tuples) != len(a2.Tuples) {
-		t.Errorf("layouts disagree: %d vs %d tuples", len(a1.Tuples), len(a2.Tuples))
+	a1 := answerCQ(t, simple, ProfileDB2(), q)
+	a2 := answerCQ(t, rdf, ProfileDB2(), q)
+	if len(a1) != len(a2) {
+		t.Errorf("layouts disagree: %d vs %d tuples", len(a1), len(a2))
 	}
 }
 
@@ -457,9 +456,9 @@ func TestRDFOverflowSlots(t *testing.T) {
 	db := loadDB(t, LayoutRDF, sb.String())
 	for i := 0; i < DefaultRDFSlots+5; i++ {
 		q := query.MustParseCQ("q(y) <- P" + itoa(i) + "(x, y)")
-		ans := EvaluateCQ(q, db, ProfileDB2())
-		if len(ans.Tuples) != 1 || ans.Tuples[0][0] != "o"+itoa(i) {
-			t.Fatalf("predicate P%d lost in overflow: %v", i, ans.Tuples)
+		ans := answerCQ(t, db, ProfileDB2(), q)
+		if len(ans) != 1 || ans[0][0] != "o"+itoa(i) {
+			t.Fatalf("predicate P%d lost in overflow: %v", i, ans)
 		}
 	}
 }
@@ -492,12 +491,12 @@ exists supervisedBy <= PhDStudent
 	want := naive.EvalJUSCQ(js, ab)
 	db := NewDB(LayoutSimple)
 	db.LoadABox(ab)
-	ans := EvaluateJUSCQ(js, db, ProfileDB2())
-	got := make(map[string]bool, len(ans.Tuples))
-	for _, tu := range ans.Tuples {
+	ans := answer(t, db, ProfileDB2(), plan.FromJUSCQ(js))
+	got := make(map[string]bool, len(ans))
+	for _, tu := range ans {
 		got[strings.Join(tu, "\x00")] = true
 	}
 	if !sameSets(got, naiveToSet(want)) {
-		t.Fatalf("engine JUSCQ %v vs naive %v", ans.Tuples, want.Sorted())
+		t.Fatalf("engine JUSCQ %v vs naive %v", ans, want.Sorted())
 	}
 }

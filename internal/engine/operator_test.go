@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dllite"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -68,9 +69,8 @@ func TestPropPipelineMatchesMaterializedCQ(t *testing.T) {
 		for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 			db := NewDB(layout)
 			db.LoadABox(ab)
-			p := PlanCQ(q, db, ProfilePostgres())
-			stream := ExecCQ(p, db)
-			mat := ExecCQMaterialized(p, db)
+			stream := drainPlan(t, db, ProfilePostgres(), plan.FromCQ(q), 1)
+			mat := ExecCQMaterialized(PlanCQ(q, db, ProfilePostgres()), db)
 			if len(stream.Rows) != len(mat.Rows) {
 				t.Logf("seed=%d layout=%v: %d vs %d rows (duplicates must match too)",
 					seed, layout, len(stream.Rows), len(mat.Rows))
@@ -103,10 +103,9 @@ func TestPropPipelineMatchesMaterializedUCQ(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		plan := PlanUCQ(u, db, ProfilePostgres())
-		mat := ExecUCQMaterialized(plan, db)
-		seq := ExecUCQ(plan, db)
-		par := Drain(CompileUCQ(plan, db, nil, 4))
+		mat := ExecUCQMaterialized(PlanUCQ(u, db, ProfilePostgres()), db)
+		seq := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(u), 1)
+		par := drainPlan(t, db, ProfilePostgres(), plan.FromUCQ(u), 4)
 		return sameSets(relToSet(seq, db.Dict), relToSet(mat, db.Dict)) &&
 			sameSets(relToSet(par, db.Dict), relToSet(mat, db.Dict))
 	}
@@ -129,9 +128,8 @@ func TestPipelineCrossesBatchBoundaries(t *testing.T) {
 	for _, layout := range []Layout{LayoutSimple, LayoutRDF} {
 		db := loadDB(t, layout, sb.String())
 		q := query.MustParseCQ("q(x, z) <- R(x, y), S(y, z)")
-		p := PlanCQ(q, db, ProfilePostgres())
-		stream := ExecCQ(p, db)
-		mat := ExecCQMaterialized(p, db)
+		stream := drainPlan(t, db, ProfilePostgres(), plan.FromCQ(q), 1)
+		mat := ExecCQMaterialized(PlanCQ(q, db, ProfilePostgres()), db)
 		if len(stream.Rows) != n || len(mat.Rows) != n {
 			t.Fatalf("%v: stream=%d mat=%d want %d", layout, len(stream.Rows), len(mat.Rows), n)
 		}
@@ -144,8 +142,7 @@ func TestPipelineCrossesBatchBoundaries(t *testing.T) {
 func TestPipelineStatsAndExplain(t *testing.T) {
 	db := loadDB(t, LayoutSimple, sampleABox)
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y), Researcher(y)")
-	p := PlanCQ(q, db, ProfilePostgres())
-	op := CompileCQ(p, db, nil)
+	op, _ := compileNative(t, db, ProfilePostgres(), plan.FromCQ(q)).Tree(1)
 	rel := Drain(op)
 	if len(rel.Rows) != 2 { // Damian × two supervisors
 		t.Fatalf("rows = %d", len(rel.Rows))
@@ -182,9 +179,9 @@ func TestFeedbackAdaptsEstimates(t *testing.T) {
 	q := query.MustParseCQ("q(y) <- A(x), R(x, y)")
 
 	before := PlanCQ(q, db, prof)
-	ans := EvaluateCQ(q, db, prof)
-	if len(ans.Tuples) != 99 {
-		t.Fatalf("answers = %d", len(ans.Tuples))
+	ans := answerCQ(t, db, prof, q)
+	if len(ans) != 99 {
+		t.Fatalf("answers = %d", len(ans))
 	}
 	if _, ok := prof.Feedback.Fanout("R", AccessRoleFwd); !ok {
 		t.Fatal("execution did not record feedback for the fwd probe")
@@ -238,8 +235,8 @@ func TestAbsentPredicateAccessPaths(t *testing.T) {
 			"q(x) <- PhDStudent(x), noRole(x, x)",
 		} {
 			q := query.MustParseCQ(qs)
-			if ans := EvaluateCQ(q, db, ProfilePostgres()); len(ans.Tuples) != 0 {
-				t.Errorf("%v: %s = %v, want empty", layout, qs, ans.Tuples)
+			if ans := answerCQ(t, db, ProfilePostgres(), q); len(ans) != 0 {
+				t.Errorf("%v: %s = %v, want empty", layout, qs, ans)
 			}
 		}
 	}
@@ -269,12 +266,12 @@ func TestRoleFinalize(t *testing.T) {
 		}
 		// Post-load index queries (fwd and rev) on both layouts.
 		q := query.MustParseCQ("q(y) <- R('a', y)")
-		if ans := EvaluateCQ(q, db, ProfileDB2()); len(ans.Tuples) != 2 {
-			t.Errorf("%v: fwd index after load = %v", layout, ans.Tuples)
+		if ans := answerCQ(t, db, ProfileDB2(), q); len(ans) != 2 {
+			t.Errorf("%v: fwd index after load = %v", layout, ans)
 		}
 		q = query.MustParseCQ("q(x) <- R(x, 'w')")
-		if ans := EvaluateCQ(q, db, ProfileDB2()); len(ans.Tuples) != 1 || ans.Tuples[0][0] != "b" {
-			t.Errorf("%v: rev index after load = %v", layout, ans.Tuples)
+		if ans := answerCQ(t, db, ProfileDB2(), q); len(ans) != 1 || ans[0][0] != "b" {
+			t.Errorf("%v: rev index after load = %v", layout, ans)
 		}
 	}
 }
@@ -297,7 +294,7 @@ func TestPropPipelineSCQMatchesMaterializedExpansion(t *testing.T) {
 		}
 		db := NewDB(LayoutSimple)
 		db.LoadABox(ab)
-		got := ExecSCQ(PlanSCQ(s, db, ProfilePostgres()), db)
+		got := drainPlan(t, db, ProfilePostgres(), plan.FromSCQ(s), 1)
 		got.Distinct()
 		want := ExecUCQMaterialized(PlanUCQ(s.Expand(), db, ProfilePostgres()), db)
 		return sameSets(relToSet(got, db.Dict), relToSet(want, db.Dict))
@@ -317,8 +314,8 @@ func TestPipelineReuse(t *testing.T) {
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 		query.MustParseCQ("q(x) <- supervisedBy(x, y)"),
 	}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	op := CompileUCQ(plan, db, nil, 1)
+	c := compileNative(t, db, ProfilePostgres(), plan.FromUCQ(u))
+	op, _ := c.Tree(1)
 	first := Drain(op)
 	for i := 0; i < 3; i++ {
 		again := Drain(op)
@@ -326,7 +323,7 @@ func TestPipelineReuse(t *testing.T) {
 			t.Fatalf("re-execution %d differs: %v vs %v", i, again, first)
 		}
 	}
-	par := CompileUCQ(plan, db, nil, 4)
+	par, _ := c.Tree(4)
 	for i := 0; i < 3; i++ {
 		again := Drain(par)
 		if !sameSets(relToSet(again, db.Dict), relToSet(first, db.Dict)) {
@@ -343,8 +340,7 @@ func TestReuseResetsStatsAndFeedback(t *testing.T) {
 	prof := ProfilePostgres()
 	prof.Feedback = NewCardFeedback()
 	u := query.UCQ{Disjuncts: []query.CQ{query.MustParseCQ("q(x, y) <- supervisedBy(x, y)")}}
-	plan := PlanUCQ(u, db, prof)
-	op := CompileUCQ(plan, db, prof, 1)
+	op, _ := compileNative(t, db, prof, plan.FromUCQ(u)).Tree(1)
 	Drain(op)
 	first := CollectStats(op)
 	r1, ok := prof.Feedback.Fanout("supervisedBy", AccessRoleScan)
@@ -368,8 +364,7 @@ func TestReuseResetsStatsAndFeedback(t *testing.T) {
 		query.MustParseCQ("q(x) <- PhDStudent(x)"),
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
-	pp := PlanUCQ(multi, db, prof)
-	pop := CompileUCQ(pp, db, prof, 4)
+	pop, _ := compileNative(t, db, prof, plan.FromUCQ(multi)).Tree(4)
 	Drain(pop)
 	pf := CollectStats(pop)
 	Drain(pop)
@@ -389,8 +384,18 @@ func TestParallelCloseBeforeOpen(t *testing.T) {
 		query.MustParseCQ("q(x) <- PhDStudent(x)"),
 		query.MustParseCQ("q(x) <- Researcher(x)"),
 	}}
-	plan := PlanUCQ(u, db, ProfilePostgres())
-	arms := []Operator{CompileCQ(plan.Plans[0], db, nil), CompileCQ(plan.Plans[1], db, nil)}
-	op := NewUnionParallel(headSchema(plan.U.Head()), arms, 4)
+	arms := []Operator{
+		cqPipeline(t, db, u.Disjuncts[0]),
+		cqPipeline(t, db, u.Disjuncts[1]),
+	}
+	op := NewUnionParallel(headSchema(u.Head()), arms, 4)
 	op.Close() // must not panic or block
+}
+
+// cqPipeline compiles q's arm pipeline (duplicates preserved) as a
+// standalone operator tree.
+func cqPipeline(t *testing.T, db *DB, q query.CQ) Operator {
+	t.Helper()
+	op, _ := compileNative(t, db, ProfilePostgres(), plan.FromCQ(q)).Tree(1)
+	return op
 }

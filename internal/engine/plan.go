@@ -48,7 +48,6 @@ func (a StepAccess) String() string {
 type PlanStep struct {
 	Atom    int
 	Access  StepAccess
-	EstIn   float64
 	EstOut  float64
 	EstCost float64
 }
@@ -148,7 +147,6 @@ func estimateStepStatic(a query.Atom, bound map[string]bool, in float64, st *Sta
 		ent = 1
 	}
 	var step PlanStep
-	step.EstIn = in
 	if a.Arity() == 1 {
 		cardA := float64(st.CardConcept(a.Pred))
 		if isBound(a.Args[0]) {
@@ -224,16 +222,13 @@ type UCQPlan struct {
 // PlanUCQ plans every disjunct and aggregates cost. When the profile
 // samples (#arms > SampleThreshold), only SampleSize arms are planned
 // for ESTIMATION and the rest are extrapolated — exactly the behaviour
-// that misleads GDL/RDBMS on Q9–Q11 in the paper. Execution still runs
-// all arms (plans for unsampled arms are built on demand at exec time).
+// that misleads GDL/RDBMS on Q9–Q11 in the paper. Every arm is still
+// planned, and execution runs them all.
 func PlanUCQ(u query.UCQ, db *DB, prof *Profile) UCQPlan {
 	up := UCQPlan{U: u}
 	n := len(u.Disjuncts)
-	sample := n
-	if prof.SampleThreshold > 0 && n > prof.SampleThreshold {
-		sample = prof.SampleSize
-		up.Sampled = true
-	}
+	var sample int
+	sample, up.Sampled = prof.armSample(n)
 	var costSum, cardSum float64
 	for i := 0; i < n; i++ {
 		p := PlanCQ(u.Disjuncts[i], db, prof)
@@ -251,6 +246,15 @@ func PlanUCQ(u query.UCQ, db *DB, prof *Profile) UCQPlan {
 	up.EstCard = cardSum // union upper bound; DISTINCT may shrink it
 	up.EstCost = costSum + cardSum*prof.CDedup
 	return up
+}
+
+// armSample returns how many of a UCQ's n arms the profile plans for
+// estimation, and whether that is a sample to extrapolate from.
+func (p *Profile) armSample(n int) (int, bool) {
+	if p.SampleThreshold > 0 && n > p.SampleThreshold {
+		return p.SampleSize, true
+	}
+	return n, false
 }
 
 // JUCQPlan materializes each fragment UCQ, then joins them.
@@ -317,4 +321,99 @@ func (p JUCQPlan) String() string {
 			i+1, len(f.Plans), f.EstCost, f.EstCard, f.Sampled)
 	}
 	return b.String()
+}
+
+// SCQPlan orders the blocks of a semi-conjunctive query. Each step
+// unions the alternative atoms of one block — the factorized evaluation
+// that makes USCQs cheaper than expanded UCQs [33].
+type SCQPlan struct {
+	S       query.SCQ
+	Order   []int
+	EstCard float64
+	EstCost float64
+}
+
+// PlanSCQ greedily orders blocks by estimated output cardinality, with
+// a block's estimate being the sum over its alternative atoms.
+func PlanSCQ(s query.SCQ, db *DB, prof *Profile) SCQPlan {
+	st := db.Stats()
+	n := len(s.Blocks)
+	used := make([]bool, n)
+	bound := map[string]bool{}
+	plan := SCQPlan{S: s}
+	card, cost := 1.0, 0.0
+	for picked := 0; picked < n; picked++ {
+		best := -1
+		var bestOut, bestCost float64
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			var outSum, costSum float64
+			for _, a := range s.Blocks[i] {
+				step := estimateStep(a, bound, card, st, prof, db.Layout)
+				outSum += step.EstOut
+				costSum += step.EstCost
+			}
+			if best < 0 || outSum < bestOut {
+				best, bestOut, bestCost = i, outSum, costSum
+			}
+		}
+		used[best] = true
+		for _, a := range s.Blocks[best] {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[t.Name] = true
+				}
+			}
+		}
+		plan.Order = append(plan.Order, best)
+		card = bestOut
+		cost += bestCost
+	}
+	plan.EstCard = card
+	plan.EstCost = cost
+	return plan
+}
+
+// USCQPlan is a union of SCQ plans with DISTINCT.
+type USCQPlan struct {
+	U       query.USCQ
+	Plans   []SCQPlan
+	EstCard float64
+	EstCost float64
+}
+
+// PlanUSCQ plans every SCQ disjunct.
+func PlanUSCQ(u query.USCQ, db *DB, prof *Profile) USCQPlan {
+	up := USCQPlan{U: u}
+	for _, s := range u.Disjuncts {
+		p := PlanSCQ(s, db, prof)
+		up.Plans = append(up.Plans, p)
+		up.EstCard += p.EstCard
+		up.EstCost += p.EstCost
+	}
+	up.EstCost += up.EstCard * prof.CDedup
+	return up
+}
+
+// JUSCQPlan materializes USCQ fragments and joins them.
+type JUSCQPlan struct {
+	J       query.JUSCQ
+	Frags   []USCQPlan
+	EstCard float64
+	EstCost float64
+}
+
+// PlanJUSCQ mirrors PlanJUCQ for the USCQ dialect.
+func PlanJUSCQ(j query.JUSCQ, db *DB, prof *Profile) JUSCQPlan {
+	jp := JUSCQPlan{J: j, Frags: make([]USCQPlan, len(j.Subs))}
+	ests := make([]plan.Estimate, len(j.Subs))
+	for i, sub := range j.Subs {
+		jp.Frags[i] = PlanUSCQ(sub, db, prof)
+		ests[i] = plan.Estimate{Cost: jp.Frags[i].EstCost, Card: jp.Frags[i].EstCard}
+	}
+	e := prof.CoverEstimate(ests)
+	jp.EstCard, jp.EstCost = e.Card, e.Cost
+	return jp
 }

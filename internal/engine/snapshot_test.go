@@ -26,10 +26,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("layout = %v", back.Layout)
 	}
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), supervisedBy(x, y), Researcher(y)")
-	a1 := EvaluateCQ(q, db, ProfilePostgres())
-	a2 := EvaluateCQ(q, back, ProfilePostgres())
-	if len(a1.Tuples) != len(a2.Tuples) || a1.Tuples[0][0] != a2.Tuples[0][0] {
-		t.Fatalf("answers differ: %v vs %v", a1.Tuples, a2.Tuples)
+	a1 := answerCQ(t, db, ProfilePostgres(), q)
+	a2 := answerCQ(t, back, ProfilePostgres(), q)
+	if len(a1) != len(a2) || a1[0][0] != a2[0][0] {
+		t.Fatalf("answers differ: %v vs %v", a1, a2)
 	}
 }
 
@@ -47,8 +47,8 @@ func TestSnapshotCrossLayout(t *testing.T) {
 		t.Fatalf("layout = %v", rdf.Layout)
 	}
 	q := query.MustParseCQ("q(x, y) <- supervisedBy(x, y)")
-	if got := EvaluateCQ(q, rdf, ProfileDB2()); len(got.Tuples) != 2 {
-		t.Fatalf("RDF-layout reload answers = %v", got.Tuples)
+	if got := answerCQ(t, rdf, ProfileDB2(), q); len(got) != 2 {
+		t.Fatalf("RDF-layout reload answers = %v", got)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/reformulate"
 )
 
@@ -47,7 +49,14 @@ func TestReasoningMatters(t *testing.T) {
 	env := smallEnv(t, engine.LayoutSimple, engine.ProfilePostgres())
 	gains := 0
 	for _, q := range lubm.Queries() {
-		plain := engine.EvaluateCQ(q, env.DB, env.Profile)
+		exec, err := engine.NewBackend(env.DB, env.Profile).Compile(plan.FromUCQ(query.UCQ{Disjuncts: []query.CQ{q}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := exec.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cell := RunCell(env, q, core.StrategyUCQ)
 		if cell.Err != nil {
 			t.Fatal(cell.Err)

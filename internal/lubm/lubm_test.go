@@ -6,6 +6,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dllite"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/reformulate"
 )
 
@@ -180,7 +181,14 @@ func TestEveryQueryHasAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		ans := engine.EvaluateUCQ(u, db, engine.ProfilePostgres())
+		exec, err := engine.NewBackend(db, engine.ProfilePostgres()).Compile(plan.FromUCQ(u))
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		ans, err := exec.Run(1)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
 		if len(ans.Tuples) == 0 {
 			t.Errorf("%s: zero answers on generated data", q.Name)
 		}

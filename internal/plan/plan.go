@@ -340,7 +340,7 @@ func Extract(n *Node) (Lowered, error) {
 	case OpUnion:
 		return extractUnion(n.Name, child)
 	case OpProject:
-		if isCoverShape(child) {
+		if CoverFragments(child) != nil {
 			return extractCover(child)
 		}
 		// Distinct directly over an arm projection: the collapsed
@@ -351,24 +351,26 @@ func Extract(n *Node) (Lowered, error) {
 	}
 }
 
-// isCoverShape distinguishes a cover projection (wrapping the join of
-// fragment subtrees, each a Distinct root, possibly behind an Exchange)
-// from a plain arm projection whose union was collapsed away — the only
-// two Projects a Distinct root can wrap.
-func isCoverShape(p *Node) bool {
+// CoverFragments distinguishes a cover projection from a plain arm
+// projection whose union was collapsed away — the only two Projects a
+// Distinct root can wrap. It returns the fragment subtrees of a cover:
+// the inputs of the join p wraps when every one is a Distinct-rooted
+// fragment, possibly behind an Exchange. It returns nil for any other
+// projection — an arm whose body is a join of accesses.
+func CoverFragments(p *Node) []*Node {
 	if len(p.Inputs) != 1 || p.Inputs[0].Op != OpJoin {
-		return false
+		return nil
 	}
 	join := p.Inputs[0]
 	if len(join.Inputs) == 0 {
-		return false
+		return nil
 	}
 	for _, in := range join.Inputs {
 		if unwrapExchange(in).Op != OpDistinct {
-			return false
+			return nil
 		}
 	}
-	return true
+	return join.Inputs
 }
 
 // unwrapExchange steps over an OpExchange wrapper: for extraction and

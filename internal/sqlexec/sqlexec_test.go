@@ -184,14 +184,14 @@ exists supervisedBy <= PhDStudent
 	q := query.MustParseCQ("q(x) <- PhDStudent(x), worksWith(y, x)")
 	u := ref.MustReformulate(q)
 
-	native := engine.EvaluateUCQ(u, db, engine.ProfilePostgres())
+	native := nativeTuples(t, db, plan.FromUCQ(u))
 	sql := sqlgen.UCQ(u, sqlgen.Options{Layout: engine.LayoutSimple})
 	rel, err := Exec(sql, db)
 	if err != nil {
 		t.Fatalf("%v\nsql: %s", err, sql)
 	}
-	if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native.Tuples)) {
-		t.Fatalf("SQL path %v differs from native %v", rel.Decode(db.Dict), native.Tuples)
+	if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native)) {
+		t.Fatalf("SQL path %v differs from native %v", rel.Decode(db.Dict), native)
 	}
 
 	// And the JUCQ WITH form.
@@ -200,15 +200,29 @@ exists supervisedBy <= PhDStudent
 	if err != nil {
 		t.Fatal(err)
 	}
-	nativeJ := engine.EvaluateJUCQ(j, db, engine.ProfilePostgres())
+	nativeJ := nativeTuples(t, db, plan.FromJUCQ(j))
 	sqlJ := sqlgen.JUCQ(j, sqlgen.Options{Layout: engine.LayoutSimple})
 	relJ, err := Exec(sqlJ, db)
 	if err != nil {
 		t.Fatalf("%v\nsql: %s", err, sqlJ)
 	}
-	if !sameSets(relSet(relJ.Decode(db.Dict)), relSet(nativeJ.Tuples)) {
-		t.Fatalf("JUCQ SQL path %v differs from native %v", relJ.Decode(db.Dict), nativeJ.Tuples)
+	if !sameSets(relSet(relJ.Decode(db.Dict)), relSet(nativeJ)) {
+		t.Fatalf("JUCQ SQL path %v differs from native %v", relJ.Decode(db.Dict), nativeJ)
 	}
+}
+
+// nativeTuples answers n through the native engine backend.
+func nativeTuples(t *testing.T, db *engine.DB, n *plan.Node) [][]string {
+	t.Helper()
+	exec, err := engine.NewBackend(db, engine.ProfilePostgres()).Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := exec.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr.Tuples
 }
 
 func sameSets(a, b map[string]bool) bool {
@@ -234,28 +248,28 @@ func TestRoundTripWorkload(t *testing.T) {
 	ref := reformulate.New(tb)
 	for _, q := range lubm.Queries() {
 		u := ref.MustReformulate(q)
-		native := engine.EvaluateUCQ(u, db, engine.ProfilePostgres())
+		native := nativeTuples(t, db, plan.FromUCQ(u))
 		rel, err := Exec(sqlgen.UCQ(u, sqlgen.Options{Layout: engine.LayoutSimple}), db)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native.Tuples)) {
+		if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native)) {
 			t.Errorf("%s: UCQ SQL path differs (%d vs %d tuples)",
-				q.Name, len(rel.Rows), len(native.Tuples))
+				q.Name, len(rel.Rows), len(native))
 		}
 		c := cover.RootCover(q, tb)
 		j, err := c.ReformulateJUCQ(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nativeJ := engine.EvaluateJUCQ(j, db, engine.ProfilePostgres())
+		nativeJ := nativeTuples(t, db, plan.FromJUCQ(j))
 		relJ, err := Exec(sqlgen.JUCQ(j, sqlgen.Options{Layout: engine.LayoutSimple}), db)
 		if err != nil {
 			t.Fatalf("%s (JUCQ): %v", q.Name, err)
 		}
-		if !sameSets(relSet(relJ.Decode(db.Dict)), relSet(nativeJ.Tuples)) {
+		if !sameSets(relSet(relJ.Decode(db.Dict)), relSet(nativeJ)) {
 			t.Errorf("%s: JUCQ SQL path differs (%d vs %d tuples)",
-				q.Name, len(relJ.Rows), len(nativeJ.Tuples))
+				q.Name, len(relJ.Rows), len(nativeJ))
 		}
 	}
 }
@@ -271,13 +285,13 @@ func TestRoundTripUSCQ(t *testing.T) {
 	q := lubm.Queries()[2] // Q3
 	u := ref.MustReformulate(q)
 	uscq := query.FactorizeUCQ(u)
-	native := engine.EvaluateUSCQ(uscq, db, engine.ProfilePostgres())
+	native := nativeTuples(t, db, plan.FromUSCQ(uscq))
 	rel, err := Exec(sqlgen.USCQ(uscq, sqlgen.Options{Layout: engine.LayoutSimple}), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native.Tuples)) {
-		t.Fatalf("USCQ SQL path differs: %d vs %d tuples", len(rel.Rows), len(native.Tuples))
+	if !sameSets(relSet(rel.Decode(db.Dict)), relSet(native)) {
+		t.Fatalf("USCQ SQL path differs: %d vs %d tuples", len(rel.Rows), len(native))
 	}
 }
 
