@@ -173,7 +173,8 @@ func BenchmarkTimeLimitedGDL(b *testing.B) {
 // BenchmarkGDLSearch measures full GDL per estimator on the largest
 // workload queries (the §6.3 "GDL ran between 1 ms and 207 ms"
 // numbers): the ext model, the native RDBMS profile, and the shard
-// backend's whole-tree estimate at 2 shards. The plain sub-benchmarks
+// backend's estimate at 2 shards, scored at fragment level through its
+// cover scorer. The plain sub-benchmarks
 // reuse one Reformulator, so past the first iteration PerfectRef is
 // fully memoized and they time the search alone. The first-seen ones
 // search a query with one variable bound to a constant through a fresh

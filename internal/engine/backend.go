@@ -64,6 +64,14 @@ type node struct {
 type compiler struct {
 	b     *Backend
 	nbind int
+	// estimate marks an estimate-only walk: union arms past the
+	// profile's estimation sample, which no estimate reads, are checked
+	// for shape but not planned. Such a walk's nodes cannot run.
+	estimate bool
+	// unplanned is set while compiling an arm past the sample; such
+	// arms collect their leaves into scratch, reused across arms.
+	unplanned bool
+	scratch   []*plan.Node
 }
 
 // CompilePlan validates the tree and compiles it, returning the
@@ -115,7 +123,9 @@ func (cp *compiler) compile(n *plan.Node, scq bool) (*node, error) {
 		}
 		c.kids = make([]*node, len(n.Inputs))
 		for i, arm := range n.Inputs {
+			cp.unplanned = cp.estimate && i >= sample
 			k, err := cp.compile(arm, scq)
+			cp.unplanned = false
 			if err != nil {
 				return nil, err
 			}
@@ -164,9 +174,24 @@ func (cp *compiler) compile(n *plan.Node, scq bool) (*node, error) {
 // order: PlanSCQ over blocks when factorized, PlanCQ over atoms
 // otherwise.
 func (cp *compiler) compileArm(p *plan.Node, factorized bool) (*node, error) {
-	leaves, err := armLeaves(p.Inputs[0], nil)
+	var buf []*plan.Node
+	if cp.unplanned {
+		buf = cp.scratch[:0]
+	}
+	leaves, err := armLeaves(p.Inputs[0], buf)
 	if err != nil {
 		return nil, err
+	}
+	if !factorized {
+		for _, l := range leaves {
+			if len(l.Atoms) != 1 {
+				return nil, fmt.Errorf("engine: non-factorized arm has a %d-atom access block", len(l.Atoms))
+			}
+		}
+	}
+	if cp.unplanned {
+		cp.scratch = leaves
+		return &node{ir: p}, nil
 	}
 	sort.SliceStable(leaves, func(a, b int) bool { return leaves[a].Pos < leaves[b].Pos })
 	c := &node{ir: p, leaves: leaves}
@@ -185,9 +210,6 @@ func (cp *compiler) compileArm(p *plan.Node, factorized bool) (*node, error) {
 	} else {
 		q := query.CQ{Name: p.Name, Head: p.Head, Atoms: make([]query.Atom, len(leaves))}
 		for i, l := range leaves {
-			if len(l.Atoms) != 1 {
-				return nil, fmt.Errorf("engine: non-factorized arm has a %d-atom access block", len(l.Atoms))
-			}
 			q.Atoms[i] = l.Atoms[0]
 		}
 		qp := PlanCQ(q, db, prof)
@@ -227,13 +249,27 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) { return b.Comp
 // streams (shard fan-in).
 func NewDistinctOperator(in Operator) Operator { return newDistinct(in) }
 
-// Estimate scores the plan; malformed trees cost +Inf.
+// Estimate scores the plan — the estimate CompilePlan freezes for its
+// root — without building what only execution needs; malformed trees
+// cost +Inf.
 func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
-	c, err := b.CompilePlan(n)
+	if plan.Validate(n) != nil {
+		return plan.Estimate{Cost: math.Inf(1)}
+	}
+	return b.EstimateValidated(n)
+}
+
+// EstimateValidated is Estimate for a tree that already passed
+// plan.Validate: composing backends that validated a plan once
+// (internal/shard) estimate it on several databases without
+// re-validating it each time.
+func (b *Backend) EstimateValidated(n *plan.Node) plan.Estimate {
+	cp := &compiler{b: b, estimate: true}
+	root, err := cp.compile(n, false)
 	if err != nil {
 		return plan.Estimate{Cost: math.Inf(1)}
 	}
-	return c.root.est
+	return root.est
 }
 
 // Estimate returns the compile-time estimate.

@@ -194,6 +194,54 @@ func TestBackendEstimateMalformed(t *testing.T) {
 	}
 }
 
+// TestBackendEstimateSampledUnion: a union past the profile's sampling
+// threshold estimates from its first arms only, so Estimate skips
+// planning the rest — and still equals the estimate CompilePlan
+// freezes, bit for bit, and still rejects a malformed arm past the
+// sample as CompilePlan does.
+func TestBackendEstimateSampledUnion(t *testing.T) {
+	db := loadDB(t, LayoutSimple, sampleABox)
+	prof := ProfilePostgres()
+	b := NewBackend(db, prof)
+	x, y := query.Var("x"), query.Var("y")
+	arms := make([]*plan.Node, prof.SampleThreshold+6)
+	for i := range arms {
+		var body *plan.Node
+		if i%2 == 0 {
+			body = &plan.Node{Op: plan.OpAccess, Atoms: []query.Atom{{Pred: "PhDStudent", Args: []query.Term{x}}}}
+		} else {
+			body = &plan.Node{Op: plan.OpJoin, Inputs: []*plan.Node{
+				{Op: plan.OpAccess, Atoms: []query.Atom{{Pred: "worksWith", Args: []query.Term{y, x}}}},
+				{Op: plan.OpAccess, Atoms: []query.Atom{{Pred: "Researcher", Args: []query.Term{y}}}, Pos: 1},
+			}}
+		}
+		arms[i] = &plan.Node{Op: plan.OpProject, Head: []query.Term{x}, Inputs: []*plan.Node{body}}
+	}
+	n := &plan.Node{Op: plan.OpDistinct, Inputs: []*plan.Node{{Op: plan.OpUnion, Inputs: arms}}}
+	est := b.Estimate(n)
+	if got := compileNative(t, db, prof, n).Estimate(); est != got {
+		t.Fatalf("Estimate %+v, CompilePlan %+v", est, got)
+	}
+	if math.IsInf(est.Cost, 0) || est.Cost <= 0 {
+		t.Fatalf("sampled union estimate = %+v", est)
+	}
+
+	// The last arm's access block has two alternatives but the arm is
+	// not factorized: valid IR, but no arm pipeline can run it.
+	last := len(arms) - 1
+	arms[last] = &plan.Node{Op: plan.OpProject, Head: []query.Term{x}, Inputs: []*plan.Node{
+		{Op: plan.OpAccess, Atoms: []query.Atom{
+			{Pred: "PhDStudent", Args: []query.Term{x}}, {Pred: "Researcher", Args: []query.Term{x}},
+		}},
+	}}
+	if _, err := b.CompilePlan(n); err == nil {
+		t.Fatal("CompilePlan accepted a multi-atom block in a non-factorized arm")
+	}
+	if est := b.Estimate(n); !math.IsInf(est.Cost, 1) {
+		t.Errorf("estimate with a malformed arm past the sample = %+v, want +Inf cost", est)
+	}
+}
+
 // TestBackendExplainPushDistinct: under the push-Distinct rewrite
 // (constant-tagged arms), the estimate is the UCQ planner's and EXPLAIN
 // still carries an estimate and an actual row count for every

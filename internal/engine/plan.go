@@ -225,27 +225,40 @@ type UCQPlan struct {
 // that misleads GDL/RDBMS on Q9–Q11 in the paper. Every arm is still
 // planned, and execution runs them all.
 func PlanUCQ(u query.UCQ, db *DB, prof *Profile) UCQPlan {
-	up := UCQPlan{U: u}
-	n := len(u.Disjuncts)
-	var sample int
-	sample, up.Sampled = prof.armSample(n)
-	var costSum, cardSum float64
-	for i := 0; i < n; i++ {
-		p := PlanCQ(u.Disjuncts[i], db, prof)
-		up.Plans = append(up.Plans, p)
-		if i < sample {
-			costSum += p.EstCost
-			cardSum += p.EstCard
-		}
+	up := UCQPlan{U: u, Plans: make([]CQPlan, len(u.Disjuncts))}
+	for i, d := range u.Disjuncts {
+		up.Plans[i] = PlanCQ(d, db, prof)
 	}
-	if up.Sampled {
+	_, up.Sampled = prof.armSample(len(u.Disjuncts))
+	e := prof.ucqEstimate(len(u.Disjuncts), func(i int) CQPlan { return up.Plans[i] })
+	up.EstCard, up.EstCost = e.Card, e.Cost
+	return up
+}
+
+// EstimateUCQ is PlanUCQ's estimate alone: it plans only the arms the
+// profile's estimation sample reads — what cover search needs of a
+// fragment.
+func EstimateUCQ(u query.UCQ, db *DB, prof *Profile) plan.Estimate {
+	return prof.ucqEstimate(len(u.Disjuncts), func(i int) CQPlan { return PlanCQ(u.Disjuncts[i], db, prof) })
+}
+
+// ucqEstimate aggregates a union of n arms planned by arm: the sampled
+// arms' figures, extrapolated when the profile samples, plus the
+// DISTINCT over the union's (upper-bound) cardinality.
+func (p *Profile) ucqEstimate(n int, arm func(i int) CQPlan) plan.Estimate {
+	sample, sampled := p.armSample(n)
+	var costSum, cardSum float64
+	for i := 0; i < n && i < sample; i++ {
+		a := arm(i)
+		costSum += a.EstCost
+		cardSum += a.EstCard
+	}
+	if sampled {
 		scale := float64(n) / float64(sample)
 		costSum *= scale
 		cardSum *= scale
 	}
-	up.EstCard = cardSum // union upper bound; DISTINCT may shrink it
-	up.EstCost = costSum + cardSum*prof.CDedup
-	return up
+	return plan.Estimate{Cost: costSum + cardSum*p.CDedup, Card: cardSum}
 }
 
 // armSample returns how many of a UCQ's n arms the profile plans for

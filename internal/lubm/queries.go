@@ -1,6 +1,11 @@
 package lubm
 
-import "repro/internal/query"
+import (
+	"sort"
+
+	"repro/internal/dllite"
+	"repro/internal/query"
+)
 
 // Queries returns the 13-query workload of Section 6.1 (2–10 atoms,
 // average ≈5.8; UCQ reformulation sizes spanning tens to hundreds of
@@ -46,6 +51,59 @@ func Queries() []query.CQ {
 	out := make([]query.CQ, len(qs))
 	for i, s := range qs {
 		out[i] = query.MustParseCQ(s)
+	}
+	return out
+}
+
+// BoundQueries returns Q1–Q13, each unbound and followed by a copy
+// (named with a "b" suffix) with one variable bound to an individual of
+// ab: the first non-head variable, bound to the median (in sorted
+// order) of the individuals at its position in the facts of its first
+// atom. A query whose variable no fact binds has no bound copy.
+func BoundQueries(ab *dllite.ABox) []query.CQ {
+	var out []query.CQ
+	for _, q := range Queries() {
+		out = append(out, q)
+		head := q.HeadVarSet()
+		v, pred, pos := "", "", 0
+		for _, a := range q.Atoms {
+			for i, t := range a.Args {
+				if v == "" && t.IsVar() && !head[t.Name] {
+					v, pred, pos = t.Name, a.Pred, i
+				}
+			}
+		}
+		set := map[string]bool{}
+		for _, as := range ab.Assertions {
+			if as.Pred != pred {
+				continue
+			}
+			if pos == 0 {
+				set[as.S] = true
+			} else {
+				set[as.O] = true
+			}
+		}
+		vals := make([]string, 0, len(set))
+		for c := range set {
+			vals = append(vals, c)
+		}
+		sort.Strings(vals)
+		if len(vals) == 0 {
+			continue
+		}
+		b := query.CQ{Name: q.Name + "b", Head: q.Head}
+		for _, a := range q.Atoms {
+			args := make([]query.Term, len(a.Args))
+			for i, t := range a.Args {
+				if t.IsVar() && t.Name == v {
+					t = query.Cst(vals[len(vals)/2])
+				}
+				args[i] = t
+			}
+			b.Atoms = append(b.Atoms, query.Atom{Pred: a.Pred, Args: args})
+		}
+		out = append(out, b)
 	}
 	return out
 }

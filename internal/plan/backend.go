@@ -1,5 +1,7 @@
 package plan
 
+import "repro/internal/query"
+
 // Estimate is a backend's whole-plan cost and output-cardinality
 // prediction for one plan tree — the quantity the cover search
 // minimizes and EXPLAIN reports.
@@ -50,4 +52,14 @@ type Backend interface {
 	// malformed plan costs +Inf rather than erroring (search code
 	// treats it as "never pick this").
 	Estimate(n *Node) Estimate
+}
+
+// CoverScorer scores cover plans from their fragment subtrees without
+// assembling them: EstimateCover(name, head, frags) must equal the
+// backend's Estimate(CoverJoin(name, head, frags)) exactly. A scorer
+// keeps per-fragment work keyed by subtree identity, so it lives for
+// one cover search, which passes the same subtree for every candidate
+// sharing a fragment; it need not be safe for concurrent use.
+type CoverScorer interface {
+	EstimateCover(name string, head []query.Term, frags []*Node) Estimate
 }

@@ -17,7 +17,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/query"
@@ -109,7 +108,7 @@ type Node struct {
 // reducer (the paper's f‖g decoration on safe covers).
 func FromCQ(q query.CQ) *Node {
 	core, reducers := splitReducers(q)
-	accs := make(map[int]*Node, len(q.Atoms))
+	accs := make([]*Node, len(q.Atoms))
 	for i, a := range q.Atoms {
 		accs[i] = &Node{Op: OpAccess, Atoms: []query.Atom{a}, Pos: i}
 	}
@@ -145,42 +144,49 @@ func FromCQ(q query.CQ) *Node {
 // EXPLAIN show the f‖g shape of safe covers.
 func splitReducers(q query.CQ) (core, reducers []int) {
 	n := len(q.Atoms)
-	head := q.HeadVarSet()
-	occ := q.VarOccurrences()
+	// Per body variable: its occurrences, and the core atoms mentioning
+	// it (each atom once), so "another core atom binds v" is
+	// mentions > 1 while atom i is still in the core.
+	var buf [16]varCount
+	vars := varCounts(buf[:0])
+	for _, a := range q.Atoms {
+		for j, t := range a.Args {
+			if !t.IsVar() {
+				continue
+			}
+			k := vars.find(t.Name)
+			if k < 0 {
+				k = len(vars)
+				vars = append(vars, varCount{name: t.Name})
+			}
+			vars[k].occ++
+			if !mentionsVar(a.Args[:j], t.Name) {
+				vars[k].mentions++
+			}
+		}
+	}
 	inCore := make([]bool, n)
-	coreLeft := n
 	for i := range inCore {
 		inCore[i] = true
 	}
-	varsOf := func(i int) []string { return q.Atoms[i].Vars(nil) }
-	coreVars := func(skip int) map[string]bool {
-		m := map[string]bool{}
-		for k := 0; k < n; k++ {
-			if k == skip || !inCore[k] {
-				continue
-			}
-			for _, v := range varsOf(k) {
-				m[v] = true
-			}
-		}
-		return m
-	}
-	for i := n - 1; i >= 0; i-- {
-		if coreLeft <= 1 {
-			break
-		}
-		cv := coreVars(i)
+	coreLeft := n
+	for i := n - 1; i >= 0 && coreLeft > 1; i-- {
+		a := q.Atoms[i]
 		shares := false
 		private := false
 		reducible := true
-		for _, v := range varsOf(i) {
-			if cv[v] {
+		for _, t := range a.Args {
+			if !t.IsVar() {
+				continue
+			}
+			v := vars[vars.find(t.Name)]
+			if v.mentions > 1 {
 				shares = true
 				continue
 			}
 			// A variable not bound by the rest of the core must be
 			// private to this atom and invisible in the head.
-			if head[v] || occ[v] > countInAtom(q.Atoms[i], v) {
+			if q.IsHeadVar(v.name) || v.occ > countInAtom(a, v.name) {
 				reducible = false
 				break
 			}
@@ -189,8 +195,14 @@ func splitReducers(q query.CQ) (core, reducers []int) {
 		if shares && private && reducible {
 			inCore[i] = false
 			coreLeft--
+			for j, t := range a.Args {
+				if t.IsVar() && !mentionsVar(a.Args[:j], t.Name) {
+					vars[vars.find(t.Name)].mentions--
+				}
+			}
 		}
 	}
+	core = make([]int, 0, coreLeft)
 	for i := 0; i < n; i++ {
 		if inCore[i] {
 			core = append(core, i)
@@ -199,6 +211,35 @@ func splitReducers(q query.CQ) (core, reducers []int) {
 		}
 	}
 	return core, reducers
+}
+
+// varCount is one body variable's tally in splitReducers.
+type varCount struct {
+	name          string
+	occ, mentions int
+}
+
+// varCounts is a small set of tallies searched linearly: queries have a
+// handful of variables, so this beats a map.
+type varCounts []varCount
+
+func (vs varCounts) find(v string) int {
+	for k := range vs {
+		if vs[k].name == v {
+			return k
+		}
+	}
+	return -1
+}
+
+// mentionsVar reports whether variable v occurs among args.
+func mentionsVar(args []query.Term, v string) bool {
+	for _, t := range args {
+		if t.IsVar() && t.Name == v {
+			return true
+		}
+	}
+	return false
 }
 
 // countInAtom counts occurrences of variable v in atom a.
@@ -523,7 +564,13 @@ func AccessLeaves(n *Node) []*Node {
 		}
 	}
 	walk(n)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Pos < out[b].Pos })
+	// Insertion sort: stable, allocation-free, and arms have a few
+	// leaves.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Pos < out[j-1].Pos; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return out
 }
 
@@ -532,8 +579,9 @@ func extractCQ(arm *Node) (query.CQ, error) {
 	if len(arm.Inputs) != 1 {
 		return query.CQ{}, fmt.Errorf("plan: arm projection must have one input")
 	}
-	q := query.CQ{Name: arm.Name, Head: arm.Head}
-	for _, acc := range AccessLeaves(arm.Inputs[0]) {
+	leaves := AccessLeaves(arm.Inputs[0])
+	q := query.CQ{Name: arm.Name, Head: arm.Head, Atoms: make([]query.Atom, 0, len(leaves))}
+	for _, acc := range leaves {
 		if len(acc.Atoms) != 1 {
 			return query.CQ{}, fmt.Errorf("plan: non-factorized arm has a %d-atom access block", len(acc.Atoms))
 		}

@@ -202,6 +202,12 @@ func CheckCoverJoin(heads, bodies []map[string]bool) error {
 // exposes to the operator above it.
 func outVars(n *Node) map[string]bool {
 	out := map[string]bool{}
+	addOutVars(n, out)
+	return out
+}
+
+// addOutVars adds the variables of n's output schema to out.
+func addOutVars(n *Node, out map[string]bool) {
 	switch n.Op {
 	case OpAccess:
 		for _, a := range n.Atoms {
@@ -213,24 +219,18 @@ func outVars(n *Node) map[string]bool {
 		}
 	case OpJoin:
 		for _, in := range n.Inputs {
-			for v := range outVars(in) {
-				out[v] = true
-			}
+			addOutVars(in, out)
 		}
-	case OpSemiJoin:
-		// Reducers only restrict; the output schema is the core's.
-		if len(n.Inputs) > 0 {
-			out = outVars(n.Inputs[0])
-		}
-	case OpUnion:
-		// Arms are schema-compatible projections; the first arm's head
+	case OpSemiJoin, OpUnion:
+		// Reducers only restrict; the output schema is the core's. Union
+		// arms are schema-compatible projections; the first arm's head
 		// names the union's columns.
 		if len(n.Inputs) > 0 {
-			out = outVars(n.Inputs[0])
+			addOutVars(n.Inputs[0], out)
 		}
 	case OpDistinct, OpExchange:
 		if len(n.Inputs) == 1 {
-			out = outVars(n.Inputs[0])
+			addOutVars(n.Inputs[0], out)
 		}
 	case OpProject:
 		for _, t := range n.Head {
@@ -239,7 +239,6 @@ func outVars(n *Node) map[string]bool {
 			}
 		}
 	}
-	return out
 }
 
 // collectVars adds every variable mentioned anywhere in the subtree.

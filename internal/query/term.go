@@ -29,9 +29,14 @@ func Cst(value string) Term { return Term{Name: value, Const: true} }
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return !t.Const }
 
-// String renders the term; constants are quoted to disambiguate.
+// String renders the term; constants are quoted to disambiguate, in
+// single quotes unless the value contains one (ParseCQ reads either
+// quote and has no escapes, so the rendering parses back).
 func (t Term) String() string {
 	if t.Const {
+		if strings.Contains(t.Name, "'") {
+			return `"` + t.Name + `"`
+		}
 		return "'" + t.Name + "'"
 	}
 	return t.Name

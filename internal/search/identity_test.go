@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reformulate"
+	"repro/internal/shard"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/covers.golden from the current search")
@@ -25,87 +25,49 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/covers.golden fr
 // largest have tens of thousands of generalized covers.
 const identityEDLCap = 30
 
-// identityQueries returns Q1–Q13, each unbound and with one variable
-// bound to an individual of the data: the first non-head variable,
-// bound to the median (in sorted order) of the individuals at its
-// position in the facts of its first atom.
-func identityQueries(ab *dllite.ABox) []query.CQ {
-	var out []query.CQ
-	for _, q := range lubm.Queries() {
-		out = append(out, q)
-		head := q.HeadVarSet()
-		v, pred, pos := "", "", 0
-		for _, a := range q.Atoms {
-			for i, t := range a.Args {
-				if v == "" && t.IsVar() && !head[t.Name] {
-					v, pred, pos = t.Name, a.Pred, i
-				}
-			}
-		}
-		set := map[string]bool{}
-		for _, as := range ab.Assertions {
-			if as.Pred != pred {
-				continue
-			}
-			if pos == 0 {
-				set[as.S] = true
-			} else {
-				set[as.O] = true
-			}
-		}
-		vals := make([]string, 0, len(set))
-		for c := range set {
-			vals = append(vals, c)
-		}
-		sort.Strings(vals)
-		if len(vals) == 0 {
-			continue
-		}
-		b := query.CQ{Name: q.Name + "b", Head: q.Head}
-		for _, a := range q.Atoms {
-			args := make([]query.Term, len(a.Args))
-			for i, t := range a.Args {
-				if t.IsVar() && t.Name == v {
-					t = query.Cst(vals[len(vals)/2])
-				}
-				args[i] = t
-			}
-			b.Atoms = append(b.Atoms, query.Atom{Pred: a.Pred, Args: args})
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // identityConfig is one estimator over one database layout.
 type identityConfig struct {
 	name string
 	est  Estimator
 }
 
-// identitySetup builds LUBM∃ at one university in both layouts and the
-// ext and RDBMS (Postgres, DB2) estimators over each.
+// identitySetup builds LUBM∃ at one university in both layouts, the
+// ext and RDBMS (Postgres, DB2) estimators over each, and the shard
+// backend's estimator at 2 and 3 shards over the simple layout.
 func identitySetup(t *testing.T) (*dllite.TBox, []query.CQ, []identityConfig) {
 	t.Helper()
 	tb := lubm.TBox()
 	ab := lubm.GenerateABox(lubm.Config{Universities: 1, Seed: 1})
 	var cfgs []identityConfig
+	var simple *engine.DB
 	for _, layout := range []engine.Layout{engine.LayoutSimple, engine.LayoutRDF} {
 		db := engine.NewDB(layout)
 		db.LoadABox(ab)
 		db.Finalize()
+		if layout == engine.LayoutSimple {
+			simple = db
+		}
 		cfgs = append(cfgs,
 			identityConfig{fmt.Sprintf("ext/%v", layout), &ExtEstimator{Model: cost.NewModel(db)}},
 			identityConfig{fmt.Sprintf("postgres/%v", layout), &RDBMSEstimator{DB: db, Profile: engine.ProfilePostgres()}},
 			identityConfig{fmt.Sprintf("db2/%v", layout), &RDBMSEstimator{DB: db, Profile: engine.ProfileDB2()}},
 		)
 	}
-	return tb, identityQueries(ab), cfgs
+	// The shard backend over the simple layout, scored through its own
+	// Estimate (partitioning requires the simple layout).
+	for _, n := range []int{2, 3} {
+		sb, err := shard.New(simple, engine.ProfilePostgres(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, identityConfig{fmt.Sprintf("shard%d/simple", n), &BackendEstimator{Backend: sb}})
+	}
+	return tb, lubm.BoundQueries(ab), cfgs
 }
 
 // TestCoverIdentity checks the cover search on the workload, with and
 // without a bound constant, for the ext and RDBMS estimators over both
-// layouts:
+// layouts and the shard backend's estimator at 2 and 3 shards:
 //
 //   - every cover GDL and EDL score gets exactly the cost the estimator
 //     gives its lowered, rewritten plan tree — the fragment-level

@@ -16,11 +16,15 @@
 // estimates gives the whole-tree figure bit for bit, with no tree
 // built, rewritten, validated or extracted per candidate. The one
 // validation rule that spans fragments (plan.CheckCoverJoin) is checked
-// on cached per-fragment variable sets. Other estimators
-// (BackendEstimator over the sql or shard backend) still score whole
-// trees, assembled from fragment subtrees lowered once per search. The
-// executed plan is validated where it compiles (core and every
-// backend's Compile).
+// on cached per-fragment variable sets. A BackendEstimator holds each
+// fragment's rewritten subtree, lowered once per search. Over the
+// shard backend it scores candidates through a per-search
+// plan.CoverScorer (shard.Backend.NewCoverScorer) that analyzes and
+// estimates each subtree once — once per shard view it is planned on —
+// and combines the results per candidate, again equal to the
+// whole-tree estimate bit for bit. Over the sql backend it still
+// scores whole trees, assembled from the subtrees. The executed plan
+// is validated where it compiles (core and every backend's Compile).
 package search
 
 import (
@@ -140,8 +144,7 @@ func (e *RDBMSEstimator) Estimate(n *plan.Node) float64 {
 
 // EstimateFragment plans the fragment's UCQ under the profile.
 func (e *RDBMSEstimator) EstimateFragment(u query.UCQ) plan.Estimate {
-	p := engine.PlanUCQ(u, e.DB, e.Profile)
-	return plan.Estimate{Cost: p.EstCost, Card: p.EstCard}
+	return engine.EstimateUCQ(u, e.DB, e.Profile)
 }
 
 // EstimateCover applies the profile's cover-join combine. Like the
@@ -161,9 +164,19 @@ func (e *RDBMSEstimator) EstimateJUCQ(j query.JUCQ) float64 { return estimateJUC
 // BackendEstimator scores plans through an execution backend's own
 // Estimate — GDL over the sql or shard backend then optimizes the
 // plan as that backend will run it (a sharded Estimate sums per-shard
-// figures, so covers that align with the partitioning win).
+// figures, so covers that align with the partitioning win). A backend
+// that can also score covers at fragment level (one with a
+// NewCoverScorer method, such as the shard backend) scores each
+// search's candidates through a scorer of its own, made for that
+// search.
 type BackendEstimator struct {
 	Backend plan.Backend
+}
+
+// coverScoringBackend is a backend whose cover estimates a per-search
+// scorer reproduces from fragment subtrees (see plan.CoverScorer).
+type coverScoringBackend interface {
+	NewCoverScorer() plan.CoverScorer
 }
 
 // Name identifies the estimator in reports and memo keys.
@@ -285,7 +298,8 @@ func (m *Memo) put(cover, est string, e memoEntry) {
 type evaluator struct {
 	ref   *reformulate.Reformulator
 	est   Estimator
-	fest  FragmentEstimator // est at fragment level; nil scores whole trees
+	fest  FragmentEstimator // est at fragment level
+	cover plan.CoverScorer  // est's backend at fragment level, over subtrees
 	memo  *Memo
 	scope string
 	seen  map[string]float64
@@ -301,9 +315,15 @@ type evaluator struct {
 var lowerFragment = func(u query.UCQ) *plan.Node { return plan.Rewrite(plan.FromUCQ(u)) }
 
 func newEvaluator(ref *reformulate.Reformulator, est Estimator, memo *Memo, q query.CQ) *evaluator {
-	fest, _ := est.(FragmentEstimator)
-	return &evaluator{ref: ref, est: est, fest: fest, memo: memo, scope: query.CanonicalKey(q) + ";",
+	ev := &evaluator{ref: ref, est: est, memo: memo, scope: query.CanonicalKey(q) + ";",
 		seen: make(map[string]float64), jucqs: make(map[string]query.JUCQ), frags: make(map[string]*fragment)}
+	ev.fest, _ = est.(FragmentEstimator)
+	if be, ok := est.(*BackendEstimator); ok {
+		if cb, ok := be.Backend.(coverScoringBackend); ok {
+			ev.cover = cb.NewCoverScorer()
+		}
+	}
+	return ev
 }
 
 // fragment returns the fragment query's table entry, reformulating and
@@ -373,7 +393,8 @@ func (ev *evaluator) estimate(c cover.Cover) (float64, bool) {
 // score costs a cover from its fragments' table entries: a
 // FragmentEstimator combines their estimates; any other estimator
 // scores the rewritten plan tree — the exact shape core.Answerer hands
-// the execution backend — reassembled from the cached subtrees.
+// the execution backend — through the backend's cover scorer over the
+// cached subtrees, or reassembled from them.
 func (ev *evaluator) score(j query.JUCQ, frags []*fragment) float64 {
 	if ev.fest != nil {
 		return coverCost(ev.fest, frags)
@@ -381,6 +402,9 @@ func (ev *evaluator) score(j query.JUCQ, frags []*fragment) float64 {
 	trees := make([]*plan.Node, len(frags))
 	for i, f := range frags {
 		trees[i] = f.tree
+	}
+	if ev.cover != nil {
+		return ev.cover.EstimateCover(j.Name, j.Head, trees).Cost
 	}
 	return ev.est.Estimate(plan.CoverJoin(j.Name, j.Head, trees))
 }

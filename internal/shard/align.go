@@ -40,7 +40,14 @@ type occurrence struct {
 type fragment struct {
 	vars map[string]bool // every variable mentioned anywhere in the fragment
 	head map[string]bool // the fragment's head variables
-	occs []occurrence    // this fragment's atom occurrences
+	// occs lists the fragment's distinct atom occurrences in order of
+	// first use. The analyses only ask which relations some occurrence
+	// binds a variable first in, so repeats (a reformulated fragment
+	// mostly repeats a few shapes across its disjuncts) change nothing.
+	occs []occurrence
+	// modes memoizes classifyFrag by exchange key: cover search asks
+	// the same fragment about the same keys for many candidates.
+	modes map[string]fragPlan
 }
 
 // analysis is the partitioning decision for one plan.
@@ -74,14 +81,6 @@ func (a analysis) describe(n int) string {
 	return s
 }
 
-// key identifies the view set the decision needs (cache key).
-func (a analysis) key() string {
-	if !a.aligned() {
-		return ""
-	}
-	return relSetKey(a.partitioned)
-}
-
 // relSetKey canonicalizes a partitioned-relation set (view cache key).
 func relSetKey(rels map[string]bool) string {
 	parts := make([]string, 0, len(rels))
@@ -92,12 +91,15 @@ func relSetKey(rels map[string]bool) string {
 	return strings.Join(parts, "\x00")
 }
 
-// collect gathers every atom occurrence of the extracted query and one
-// fragment summary per joined subquery (a single-fragment dialect
-// yields one summary; the cross-fragment condition is then vacuous).
-func collect(lo plan.Lowered) (occs []occurrence, frags []fragment) {
+// collect summarizes each joined subquery of the extracted query: one
+// fragment per cover fragment, or one for a single-fragment dialect
+// (the cross-fragment condition is then vacuous).
+func collect(lo plan.Lowered) []fragment {
+	var frags []fragment
+	var seen map[occurrence]bool
 	newFrag := func(head []query.Term) *fragment {
-		f := &fragment{vars: map[string]bool{}, head: map[string]bool{}}
+		seen = map[occurrence]bool{}
+		f := &fragment{vars: map[string]bool{}, head: map[string]bool{}, modes: map[string]fragPlan{}}
 		for _, t := range head {
 			if t.IsVar() {
 				f.head[t.Name] = true
@@ -108,9 +110,10 @@ func collect(lo plan.Lowered) (occs []occurrence, frags []fragment) {
 	}
 	addAtom := func(f *fragment, a query.Atom) {
 		if len(a.Args) > 0 {
-			o := occurrence{a.Pred, a.Args[0]}
-			occs = append(occs, o)
-			f.occs = append(f.occs, o)
+			if o := (occurrence{a.Pred, a.Args[0]}); !seen[o] {
+				seen[o] = true
+				f.occs = append(f.occs, o)
+			}
 		}
 		for _, t := range a.Args {
 			if t.IsVar() {
@@ -156,17 +159,21 @@ func collect(lo plan.Lowered) (occs []occurrence, frags []fragment) {
 			addUSCQ(u)
 		}
 	}
-	return occs, frags
+	return frags
 }
 
-// analyze picks the partition variable and relation split for one
-// extracted plan. Among the valid candidates it prefers the one whose
-// shard-local relations carry the most rows (statistics from the base
-// database), so the biggest scans are the ones that shrink N-fold;
-// ties break on relation count, then variable name, keeping the choice
-// deterministic.
-func analyze(lo plan.Lowered, st *engine.Statistics) analysis {
-	occs, frags := collect(lo)
+// analyze picks the partition variable and relation split for a plan
+// summarized by its fragments (the plan's atom occurrences are theirs,
+// in fragment order). Among the valid candidates it prefers the one
+// whose shard-local relations carry the most rows (statistics from the
+// base database), so the biggest scans are the ones that shrink
+// N-fold; ties break on relation count, then variable name, keeping
+// the choice deterministic.
+func analyze(frags []fragment, st *engine.Statistics) analysis {
+	var occs []occurrence
+	for _, f := range frags {
+		occs = append(occs, f.occs...)
+	}
 	if len(occs) == 0 {
 		return analysis{}
 	}
@@ -326,12 +333,8 @@ func (e *exchange) describe(n int) string {
 // handled without an exchange); among valid keys the analysis prefers
 // fewer broadcast fragments, then more shard-local rows, then the
 // lexicographically first variable — deterministic like analyze.
-func analyzeExchange(lo plan.Lowered, st *engine.Statistics, nsh int) *exchange {
-	if nsh < 2 {
-		return nil
-	}
-	_, frags := collect(lo)
-	if len(frags) < 2 {
+func analyzeExchange(frags []fragment, st *engine.Statistics, nsh int) *exchange {
+	if nsh < 2 || len(frags) < 2 {
 		return nil
 	}
 	shared := map[string]int{}
@@ -394,6 +397,16 @@ func analyzeExchange(lo plan.Lowered, st *engine.Statistics, nsh int) *exchange 
 // across shards and carry the key to route on); broadcast as the last
 // resort.
 func classifyFrag(f fragment, key string, st *engine.Statistics) fragPlan {
+	if fp, ok := f.modes[key]; ok {
+		return fp
+	}
+	fp := classify(f, key, st)
+	f.modes[key] = fp
+	return fp
+}
+
+// classify is classifyFrag without the memo.
+func classify(f fragment, key string, st *engine.Statistics) fragPlan {
 	if !f.vars[key] || !f.head[key] {
 		return fragPlan{mode: fragBroadcast}
 	}

@@ -42,7 +42,7 @@ func TestAnalyzeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := analyzeExchange(lo, st, 3)
+	ex := analyzeExchange(collect(lo), st, 3)
 	if ex == nil || ex.key != "y" {
 		t.Fatalf("exchange = %+v", ex)
 	}
@@ -62,7 +62,7 @@ func TestAnalyzeExchange(t *testing.T) {
 	}
 
 	// Below two shards there is nothing to repartition.
-	if ex := analyzeExchange(lo, st, 1); ex != nil {
+	if ex := analyzeExchange(collect(lo), st, 1); ex != nil {
 		t.Fatalf("single shard must not exchange, got %+v", ex)
 	}
 	// A single fragment has no cover join to repartition for.
@@ -70,7 +70,7 @@ func TestAnalyzeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := analyzeExchange(slo, st, 3); ex != nil {
+	if ex := analyzeExchange(collect(slo), st, 3); ex != nil {
 		t.Fatalf("single fragment must not exchange, got %+v", ex)
 	}
 	// A fully co-partitioned cover needs no shuffle fragment at all.
@@ -80,7 +80,7 @@ func TestAnalyzeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := analyzeExchange(alo, st, 3); ex != nil {
+	if ex := analyzeExchange(collect(alo), st, 3); ex != nil {
 		t.Fatalf("aligned cover must not exchange, got %+v", ex)
 	}
 	// A fragment whose scans never align (constant first position)
@@ -94,7 +94,7 @@ func TestAnalyzeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bex := analyzeExchange(blo, st, 3)
+	bex := analyzeExchange(collect(blo), st, 3)
 	if bex == nil || bex.frags[1].mode != fragBroadcast {
 		t.Fatalf("constant-rooted fragment must broadcast, got %+v", bex)
 	}

@@ -11,7 +11,8 @@
 // neither analysis can place are broadcast — every shard reads their
 // full base table. Estimate prices sharded plans (including the
 // exchange's transfer term) through the same IR the cover search
-// scores native and SQL plans with.
+// scores native and SQL plans with; NewCoverScorer gives one cover
+// search the same figure from per-fragment work done once (score.go).
 //
 // Two LRU caches make repeated queries cheap: a plan cache keyed by
 // (canonical plan, data version) skips per-shard recompilation, and a
@@ -146,30 +147,49 @@ func (b *Backend) viewsByRels(rels map[string]bool) []*engine.DB {
 	return vs
 }
 
-// analyze validates and extracts the plan and picks the co-partitioned
-// alignment. Validation runs once here for both Compile and Estimate;
-// the per-shard engine compiles re-check, but a malformed plan never
+// decision is how one plan runs on the shards: the co-partitioned
+// alignment and, when the plan repartitions instead, the exchange
+// decision with the cover fragments it applies to.
+type decision struct {
+	an    analysis
+	ex    *exchange
+	trees []*plan.Node // the cover's fragment subtrees when ex != nil
+}
+
+// decide validates and extracts the plan and analyzes its fragments.
+// Validation runs once here for both Compile and Estimate; the
+// per-shard engine compiles re-check, but a malformed plan never
 // reaches partitioned views.
-func (b *Backend) analyze(n *plan.Node) (analysis, plan.Lowered, error) {
+func (b *Backend) decide(n *plan.Node) (decision, error) {
 	if err := plan.Validate(n); err != nil {
-		return analysis{}, plan.Lowered{}, err
+		return decision{}, err
 	}
 	lo, err := plan.Extract(n)
 	if err != nil {
-		return analysis{}, plan.Lowered{}, err
+		return decision{}, err
 	}
-	return analyze(lo, b.part.Base.Stats()), lo, nil
+	frags := collect(lo)
+	d := decision{an: analyze(frags, b.part.Base.Stats())}
+	if d.ex = b.pickExchange(d.an, frags); d.ex == nil {
+		return d, nil
+	}
+	// An exchange needs two or more fragments, which Extract only
+	// yields for the cover shape.
+	if _, d.trees = coverParts(n); len(d.trees) != len(d.ex.frags) {
+		return decision{}, fmt.Errorf("shard: exchange needs the cover shape distinct(project(join(...)))")
+	}
+	return d, nil
 }
 
 // pickExchange decides whether the plan should repartition instead of
 // broadcasting: only when the co-partitioned analysis is not already a
 // perfect fit (fully aligned, nothing broadcast) and the exchange
 // analysis finds a usable key.
-func (b *Backend) pickExchange(an analysis, lo plan.Lowered) *exchange {
+func (b *Backend) pickExchange(an analysis, frags []fragment) *exchange {
 	if an.aligned() && len(an.broadcast) == 0 {
 		return nil
 	}
-	return analyzeExchange(lo, b.part.Base.Stats(), b.NumShards())
+	return analyzeExchange(frags, b.part.Base.Stats(), b.NumShards())
 }
 
 // Compile lowers the plan once per shard view, through the plan cache:
@@ -187,19 +207,21 @@ func (b *Backend) Compile(n *plan.Node) (plan.Executable, error) {
 	return e, nil
 }
 
+// compile takes the exchange path whenever decide picks it. An error
+// there is returned, never retried on the co-partitioned path: the
+// plan validated, so the exchange IR (the same fragments behind
+// Exchange wrappers whose keys are fragment head variables) validates
+// too, and the fragment compiles fail only on shapes the whole-plan
+// compile below would reject as well.
 func (b *Backend) compile(n *plan.Node) (plan.Executable, error) {
-	an, lo, err := b.analyze(n)
+	d, err := b.decide(n)
 	if err != nil {
 		return nil, err
 	}
-	if ex := b.pickExchange(an, lo); ex != nil {
-		if xe, err := b.compileExchange(n, ex); err == nil {
-			return xe, nil
-		}
-		// A shape the exchange compiler cannot take apart falls back to
-		// the co-partitioned/broadcast path below rather than failing.
+	if d.ex != nil {
+		return b.compileExchange(n, d.ex, d.trees)
 	}
-	views := b.viewsFor(an)
+	views := b.viewsFor(d.an)
 	parts := make([]*engine.Compiled, len(views))
 	var est plan.Estimate
 	for i, v := range views {
@@ -212,7 +234,7 @@ func (b *Backend) compile(n *plan.Node) (plan.Executable, error) {
 		est.Cost += e.Cost
 		est.Card += e.Card
 	}
-	return &executable{b: b, node: n, an: an, parts: parts, est: est}, nil
+	return &executable{b: b, node: n, an: d.an, parts: parts, est: est}, nil
 }
 
 // coverParts takes a cover plan apart: Distinct(Project(Join(frags))).
@@ -234,11 +256,8 @@ func coverParts(n *plan.Node) (proj *plan.Node, frags []*plan.Node) {
 // base-database fragment estimates, and the executed IR — the original
 // cover with Exchange wrappers on the repartitioned fragments —
 // validated so the exchange invariants are machine-checked.
-func (b *Backend) compileExchange(n *plan.Node, ex *exchange) (*exchangeExec, error) {
-	proj, frags := coverParts(n)
-	if frags == nil || len(frags) != len(ex.frags) {
-		return nil, fmt.Errorf("shard: exchange needs the cover shape distinct(project(join(...)))")
-	}
+func (b *Backend) compileExchange(n *plan.Node, ex *exchange, frags []*plan.Node) (*exchangeExec, error) {
+	proj, _ := coverParts(n)
 	nsh := b.NumShards()
 	base := engine.NewBackend(b.part.Base, b.prof)
 	parts := make([][]*engine.Compiled, len(frags))
@@ -289,7 +308,7 @@ func (b *Backend) compileExchange(n *plan.Node, ex *exchange) (*exchangeExec, er
 		cards[j] = e.Card
 	}
 	probe, builds := engine.CoverJoinOrder(cards)
-	est := b.exchangeEstimate(n, ex, fragEst)
+	est := b.exchangeEstimate(ex, fragEst)
 	return &exchangeExec{
 		b: b, node: n, exIR: exIR, ex: ex,
 		head: proj.Head, frags: frags, exNodes: exNodes,
@@ -298,14 +317,15 @@ func (b *Backend) compileExchange(n *plan.Node, ex *exchange) (*exchangeExec, er
 	}, nil
 }
 
-// exchangeEstimate prices the shuffle execution: the single-node cost
-// of the whole plan (partitioned scans split 1/n across n shards, so
-// their total is the single-node figure), plus the transfer term for
-// every row the shuffled fragments emit, plus the (n-1) extra
+// exchangeEstimate prices the shuffle execution from the base-database
+// fragment estimates: the single-node cost of the whole cover (the
+// profile's cover combine — partitioned scans split 1/n across n
+// shards, so their total is the single-node figure), plus the transfer
+// term for every row the shuffled fragments emit, plus the (n-1) extra
 // evaluations a broadcast fragment would cost if replayed per shard —
 // it is evaluated once here, but its rows enter n build tables.
-func (b *Backend) exchangeEstimate(n *plan.Node, ex *exchange, fragEst []plan.Estimate) plan.Estimate {
-	est := engine.NewBackend(b.part.Base, b.prof).Estimate(n)
+func (b *Backend) exchangeEstimate(ex *exchange, fragEst []plan.Estimate) plan.Estimate {
+	est := b.prof.CoverEstimate(fragEst)
 	moved := 0.0
 	for j, fp := range ex.frags {
 		switch fp.mode {
@@ -319,31 +339,30 @@ func (b *Backend) exchangeEstimate(n *plan.Node, ex *exchange, fragEst []plan.Es
 	return est
 }
 
-// Estimate scores a plan without compiling it. The exchange path uses
-// exchangeEstimate; the co-partitioned path sums the per-shard engine
-// estimates (broadcast relations counted once per shard, which is
-// exactly the work done; Card double-counts rows produced by more than
-// one shard before the merge distinct — an upper bound, like every
-// union-arm estimate in the engine). Malformed plans cost +Inf,
-// delegated through the base engine backend.
+// Estimate scores a plan without compiling it — the definition the
+// fragment-level scorer (NewCoverScorer) reproduces exactly. The
+// exchange path uses exchangeEstimate; the co-partitioned path sums
+// the per-shard engine estimates (broadcast relations counted once per
+// shard, which is exactly the work done; Card double-counts rows
+// produced by more than one shard before the merge distinct — an
+// upper bound, like every union-arm estimate in the engine). Malformed
+// plans cost +Inf, delegated through the base engine backend.
 func (b *Backend) Estimate(n *plan.Node) plan.Estimate {
-	an, lo, err := b.analyze(n)
+	base := engine.NewBackend(b.part.Base, b.prof)
+	d, err := b.decide(n)
 	if err != nil {
-		return engine.NewBackend(b.part.Base, b.prof).Estimate(n)
+		return base.Estimate(n)
 	}
-	if ex := b.pickExchange(an, lo); ex != nil {
-		if _, frags := coverParts(n); frags != nil && len(frags) == len(ex.frags) {
-			base := engine.NewBackend(b.part.Base, b.prof)
-			fragEst := make([]plan.Estimate, len(frags))
-			for j, frag := range frags {
-				fragEst[j] = base.Estimate(frag)
-			}
-			return b.exchangeEstimate(n, ex, fragEst)
+	if d.ex != nil {
+		fragEst := make([]plan.Estimate, len(d.trees))
+		for j, frag := range d.trees {
+			fragEst[j] = base.EstimateValidated(frag)
 		}
+		return b.exchangeEstimate(d.ex, fragEst)
 	}
 	var est plan.Estimate
-	for _, v := range b.viewsFor(an) {
-		e := engine.NewBackend(v, b.prof).Estimate(n)
+	for _, v := range b.viewsFor(d.an) {
+		e := engine.NewBackend(v, b.prof).EstimateValidated(n)
 		est.Cost += e.Cost
 		est.Card += e.Card
 	}

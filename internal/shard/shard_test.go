@@ -103,7 +103,7 @@ func TestAnalyzeAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := analyze(lo, st)
+	an := analyze(collect(lo), st)
 	if an.partVar != "x" || !an.partitioned["Employee"] || !an.partitioned["worksFor"] {
 		t.Fatalf("analysis = %+v", an)
 	}
@@ -117,7 +117,7 @@ func TestAnalyzeAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an := analyze(lo, st); an.aligned() {
+	if an := analyze(collect(lo), st); an.aligned() {
 		t.Fatalf("constant first arg must kill alignment, got %+v", an)
 	}
 
@@ -128,7 +128,7 @@ func TestAnalyzeAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an = analyze(lo, st)
+	an = analyze(collect(lo), st)
 	if an.partVar != "x" || !an.partitioned["worksFor"] || !an.partitioned["Manager"] {
 		t.Fatalf("cover analysis = %+v", an)
 	}
@@ -141,7 +141,7 @@ func TestAnalyzeAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an := analyze(lo, st); an.partVar == "x" {
+	if an := analyze(collect(lo), st); an.partVar == "x" {
 		t.Fatalf("x is not joined across fragments, got %+v", an)
 	}
 }
